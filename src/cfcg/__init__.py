@@ -5,10 +5,9 @@ from .engine import (BetaKind, DenominatorUnderflow, FixedStep, GridStep,
                      RunReport, RunStatus, StopCriteria, armijo_wolfe_search,
                      beta_value, cfcg_minimize, cfsd_minimize, direction,
                      recheck_armijo_wolfe)
-from .fraccalc import (FracParams, QuadratureSpec, ScalarCoefficients,
-                       SingularTerminalError, caputo_deriv_1d,
-                       frac_gradient_general, frac_gradient_quadratic,
-                       gamma_coeff, scalar_coefficients, taylor_coeff)
+from .fraccalc import (FracParams, QuadratureSpec, SingularTerminalError,
+                       caputo_deriv_1d, frac_gradient_general,
+                       frac_gradient_quadratic, gamma_coeff, taylor_coeff)
 from .problems import (Example1Config, MlpSpec, benchmark_fn, gen_example1,
                        mlp_init, mlp_lower_terminal, mlp_objective,
                        stacked_problem, tikhonov_run_objective)
@@ -23,14 +22,13 @@ __all__ = [
     "BetaKind", "BuildConvention", "DenominatorUnderflow", "Example1Config",
     "FixedStep", "FracParams", "GridStep", "IterRecord", "LeastSquaresProblem",
     "LineSearchError", "LineSearchParams", "MlpSpec", "Objective",
-    "QuadratureSpec", "RunReport", "RunStatus", "ScalarCoefficients",
-    "SingularSystemError", "SingularTerminalError", "StopCriteria",
-    "abar_matrix", "armijo_wolfe_search", "benchmark_fn", "beta_value",
-    "build_quadratic", "caputo_deriv_1d", "cfcg_minimize", "cfsd_minimize",
-    "check_Abar_pd", "direction", "frac_gradient_general",
-    "frac_gradient_quadratic", "gamma_coeff", "gen_example1", "mlp_init",
-    "mlp_lower_terminal", "mlp_objective", "recheck_armijo_wolfe",
-    "regularized_matrix", "regularized_objective", "scalar_coefficients",
-    "stacked_problem", "taylor_coeff", "tikhonov_run_objective",
-    "tikhonov_solution",
+    "QuadratureSpec", "RunReport", "RunStatus", "SingularSystemError",
+    "SingularTerminalError", "StopCriteria", "abar_matrix",
+    "armijo_wolfe_search", "benchmark_fn", "beta_value", "build_quadratic",
+    "caputo_deriv_1d", "cfcg_minimize", "cfsd_minimize", "check_Abar_pd",
+    "direction", "frac_gradient_general", "frac_gradient_quadratic",
+    "gamma_coeff", "gen_example1", "mlp_init", "mlp_lower_terminal",
+    "mlp_objective", "recheck_armijo_wolfe", "regularized_matrix",
+    "regularized_objective", "stacked_problem", "taylor_coeff",
+    "tikhonov_run_objective", "tikhonov_solution",
 ]

@@ -19,6 +19,7 @@ import dataclasses
 import json
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,8 +30,7 @@ from .engine import (BetaKind, FixedStep, GridStep, LineSearchParams,
 from .fraccalc import FracParams, QuadratureSpec
 from .problems import (BENCHMARK_IDS, Example1Config, MlpSpec, gen_example1,
                        mlp_init, mlp_lower_terminal, mlp_objective,
-                       stacked_problem, tikhonov_run_objective)
-from .tikhonov import check_Abar_pd
+                       tikhonov_run_objective)
 
 __all__ = [
     "ExperimentConfig",
@@ -237,13 +237,15 @@ def write_trace_csv(trace, path):
 # runners
 
 
-def _row_from_report(report, *, experiment, solver, beta, alpha, rho, gamma,
-                     seed, target="", step_param=float("nan"), wall_ms=0.0):
+def _row_from_report(report, config, experiment, solver, beta, gamma,
+                     step_param, wall_ms, target=""):
     last = report.trace[-1]
     dist = float("nan") if last.dist_to_reference is None else last.dist_to_reference
     return ResultRow(
-        experiment=experiment, solver=solver, beta=beta, alpha=alpha, rho=rho,
-        gamma=gamma, seed=seed, target=target, trials_completed=1,
+        experiment=experiment, solver=solver,
+        beta=beta if solver == "CFCG" else "", alpha=config.alpha,
+        rho=config.rho, gamma=gamma, seed=config.seed, target=target,
+        trials_completed=1,
         status=report.status.value, stop_reason=report.stop_reason,
         iterations=report.iterations, objective_evals=report.objective_evals,
         gradient_evals=report.gradient_evals,
@@ -252,76 +254,109 @@ def _row_from_report(report, *, experiment, solver, beta, alpha, rho, gamma,
     )
 
 
-def _example1_cell(config, prob, x0, c, gamma, solver, beta_kind):
-    """One sweep cell on its own problem copy; returns (report, target)."""
-    prob = dataclasses.replace(prob, gamma=gamma)
-    frac = FracParams(config.alpha, config.rho, c)
-    if not check_Abar_pd(stacked_problem(prob), frac):
-        raise ArithmeticError(
-            f"iteration matrix not positive definite at gamma={gamma}"
-        )
-    objective, target, _ = tikhonov_run_objective(prob, frac)
-    stop = StopCriteria(config.grad_tol, config.max_iter)
+# what one solver call needs besides the solver and its beta kind; sd_rule
+# is the problem's CFSD step rule
+_Problem = namedtuple("_Problem", "objective x0 frac stop sd_rule quad reference",
+                      defaults=(None, None))
+
+
+def _run_cell(config, problem, solver, beta, out_dir=None, trace_name=None):
+    """Run one solver on one problem and write its trace under out_dir
+    (if given); returns (report, wall_ms, step_param).
+
+    The objective's counters are reset first, so a problem can be shared
+    by several cells.  step_param is the CFSD rule's step: the fixed step,
+    or the largest grid entry; nan for CFCG.
+    """
+    p = problem
+    p.objective.reset_counters()
+    t0 = time.perf_counter()
     if solver == "CFCG":
-        report = cfcg_minimize(objective, x0, frac, beta_kind,
-                               ls=config.line_search(), stop=stop,
-                               reference=target)
+        report = cfcg_minimize(p.objective, p.x0, p.frac, beta,
+                               ls=config.line_search(), stop=p.stop,
+                               quad=p.quad, reference=p.reference)
+        step_param = float("nan")
     else:
-        report = cfsd_minimize(objective, x0, frac, FixedStep(config.sd_step),
-                               stop=stop, reference=target)
-    return report, target
+        report = cfsd_minimize(p.objective, p.x0, p.frac, p.sd_rule,
+                               stop=p.stop, quad=p.quad, reference=p.reference)
+        rule = p.sd_rule
+        step_param = rule.eta if isinstance(rule, FixedStep) else max(rule.etas)
+    wall = (time.perf_counter() - t0) * 1e3
+    if out_dir is not None and config.write_traces:
+        write_trace_csv(report.trace, Path(out_dir) / trace_name)
+    return report, wall, step_param
+
+
+def _example1_instance(config, gammas):
+    """The seeded least-squares instance: (problem, x0, frac)."""
+    if config.m != config.n:
+        raise ConfigError(f"example1 needs m = n, got m={config.m}, n={config.n}")
+    if not all(g >= 0.0 for g in gammas):
+        raise ConfigError(f"gamma must be nonnegative, got {_format_value(gammas)}")
+    prob, x0, c = gen_example1(Example1Config(seed=config.seed, m=config.m,
+                                              n=config.n))
+    return prob, x0, FracParams(config.alpha, config.rho, c)
+
+
+def _tikhonov_problem(config, prob, x0, frac, gamma):
+    """The example1 run at one gamma, shared by every cell of that gamma."""
+    prob = dataclasses.replace(prob, gamma=gamma)
+    objective, target, _ = tikhonov_run_objective(prob, frac)
+    return _Problem(objective, x0, frac,
+                    StopCriteria(config.grad_tol, config.max_iter),
+                    FixedStep(config.sd_step), reference=target)
 
 
 def run_example1(config, out_dir=None):
     """Sweep gamma grid x beta kinds x solvers on one seeded instance."""
-    e1 = Example1Config(seed=config.seed, m=config.m, n=config.n,
-                        gamma_grid=config.gamma_grid)
-    prob, x0, c = gen_example1(e1)
+    prob, x0, frac = _example1_instance(config, config.gamma_grid)
     rows = []
     for gamma in config.gamma_grid:
+        try:
+            problem = _tikhonov_problem(config, prob, x0, frac, gamma)
+        except Exception as exc:  # noqa: BLE001 - the rows record the failure
+            nan = float("nan")
+            rows += [ResultRow(
+                experiment="example1", solver=solver, beta=beta_kind,
+                alpha=config.alpha, rho=config.rho, gamma=gamma,
+                seed=config.seed, target="", trials_completed=0,
+                status=f"Error({type(exc).__name__})", stop_reason=str(exc),
+                iterations=nan, objective_evals=nan, gradient_evals=nan,
+                final_grad_norm=nan, final_dist=nan, step_param=nan,
+                wall_ms=0.0)
+                for beta_kind in config.beta_kinds for solver in config.solvers]
+            continue
         for beta_kind in config.beta_kinds:
             for solver in config.solvers:
-                t0 = time.perf_counter()
-                try:
-                    report, _ = _example1_cell(config, prob, x0, c, gamma,
-                                               solver, beta_kind)
-                except Exception as exc:  # noqa: BLE001 - row records the failure
-                    rows.append(ResultRow(
-                        experiment="example1", solver=solver, beta=beta_kind,
-                        alpha=config.alpha, rho=config.rho, gamma=gamma,
-                        seed=config.seed, target="", trials_completed=0,
-                        status=f"Error({type(exc).__name__})", stop_reason=str(exc),
-                        iterations=float("nan"), objective_evals=float("nan"),
-                        gradient_evals=float("nan"),
-                        final_grad_norm=float("nan"), final_dist=float("nan"),
-                        step_param=float("nan"), wall_ms=0.0))
-                    continue
-                wall = (time.perf_counter() - t0) * 1e3
-                step_param = config.sd_step if solver == "CFSD" else float("nan")
-                rows.append(_row_from_report(
-                    report, experiment="example1", solver=solver,
-                    beta=beta_kind if solver == "CFCG" else "",
-                    alpha=config.alpha, rho=config.rho, gamma=gamma,
-                    seed=config.seed, step_param=step_param, wall_ms=wall))
-                if out_dir is not None and config.write_traces:
-                    name = f"trace_example1_g{gamma:g}_{solver}_{beta_kind}.csv"
-                    write_trace_csv(report.trace, Path(out_dir) / name)
+                name = f"trace_example1_g{gamma:g}_{solver}_{beta_kind}.csv"
+                report, wall, step = _run_cell(config, problem, solver,
+                                               beta_kind, out_dir, name)
+                rows.append(_row_from_report(report, config, "example1", solver,
+                                             beta_kind, gamma, step, wall))
     return rows
 
 
-def _trial_seeds(base_seed, target_index, trial):
-    ss = np.random.SeedSequence((base_seed, target_index, trial))
-    data, init = ss.spawn(2)
-    return data, init
+def _mlp_problem(config, alpha, target, target_index, trial):
+    """One seeded network-training trial on one target."""
+    spec = MlpSpec(hidden_units=config.hidden_units,
+                   train_points=config.train_points, trials=config.trials)
+    seeds = np.random.SeedSequence((config.seed, target_index, trial))
+    data_ss, init_ss = seeds.spawn(2)
+    return _Problem(
+        mlp_objective(spec, target, data_ss), mlp_init(spec, init_ss),
+        FracParams(alpha, config.rho, mlp_lower_terminal(spec)),
+        StopCriteria(config.grad_tol, config.max_iter,
+                     f_decrease_tol=config.f_decrease_tol),
+        GridStep(config.sd_grid), quad=config.quad_spec())
 
 
-def _mean_row(reports, walls, *, solver, beta, alpha, rho, seed, target,
-              step_param):
+def _mean_row(reports, walls, config, solver, beta, alpha, target, step_param):
     n = len(reports)
     worst = max(reports, key=lambda r: (r.status is not RunStatus.CONVERGED,))
     return ResultRow(
-        experiment="example2", solver=solver, beta=beta, alpha=alpha, rho=rho,
-        gamma=float("nan"), seed=seed, target=target, trials_completed=n,
+        experiment="example2", solver=solver, beta=beta, alpha=alpha,
+        rho=config.rho, gamma=float("nan"), seed=config.seed, target=target,
+        trials_completed=n,
         status=worst.status.value, stop_reason="mean-over-trials",
         iterations=float(np.mean([r.iterations for r in reports])),
         objective_evals=float(np.mean([r.objective_evals for r in reports])),
@@ -334,91 +369,45 @@ def _mean_row(reports, walls, *, solver, beta, alpha, rho, seed, target,
 
 def run_example2(config, out_dir=None):
     """Network-training comparison; one mean row per (alpha, target, solver/beta)."""
-    spec = MlpSpec(hidden_units=config.hidden_units,
-                   train_points=config.train_points, trials=config.trials)
-    c = mlp_lower_terminal(spec)
-    quad = config.quad_spec()
     alphas = config.alpha_grid if config.alpha_grid else (config.alpha,)
-    stop = StopCriteria(config.grad_tol, config.max_iter,
-                        f_decrease_tol=config.f_decrease_tol)
+    cells = [("CFCG", bk) for bk in config.beta_kinds]
+    if "CFSD" in config.solvers:
+        cells.append(("CFSD", ""))
     rows = []
     for alpha in alphas:
-        frac = FracParams(alpha, config.rho, c)
         for ti, target in enumerate(config.targets):
-            cells = [("CFCG", bk) for bk in config.beta_kinds]
-            if "CFSD" in config.solvers:
-                cells.append(("CFSD", ""))
             for solver, beta_kind in cells:
                 reports, walls = [], []
                 for trial in range(config.trials):
-                    data_ss, init_ss = _trial_seeds(config.seed, ti, trial)
-                    objective = mlp_objective(spec, target, data_ss)
-                    x0 = mlp_init(spec, init_ss)
-                    t0 = time.perf_counter()
-                    if solver == "CFCG":
-                        report = cfcg_minimize(objective, x0, frac, beta_kind,
-                                               ls=config.line_search(),
-                                               stop=stop, quad=quad)
-                    else:
-                        report = cfsd_minimize(objective, x0, frac,
-                                               GridStep(config.sd_grid),
-                                               stop=stop, quad=quad)
-                    walls.append((time.perf_counter() - t0) * 1e3)
+                    problem = _mlp_problem(config, alpha, target, ti, trial)
+                    name = (f"trace_example2_a{alpha:g}_{target}_"
+                            f"{solver}{beta_kind}_t{trial}.csv")
+                    report, wall, step = _run_cell(config, problem, solver,
+                                                   beta_kind, out_dir, name)
+                    walls.append(wall)
                     reports.append(report)
-                    if out_dir is not None and config.write_traces:
-                        name = (f"trace_example2_a{alpha:g}_{target}_"
-                                f"{solver}{beta_kind}_t{trial}.csv")
-                        write_trace_csv(report.trace, Path(out_dir) / name)
-                step = float("nan") if solver == "CFCG" else max(config.sd_grid)
-                rows.append(_mean_row(reports, walls, solver=solver,
-                                      beta=beta_kind, alpha=alpha,
-                                      rho=config.rho, seed=config.seed,
-                                      target=target, step_param=step))
+                rows.append(_mean_row(reports, walls, config, solver, beta_kind,
+                                      alpha, target, step))
     return rows
 
 
 def run_single(config, out_dir=None):
     """One problem, one solver, one beta; returns (row, report)."""
+    target = config.problem[4:] if config.problem.startswith("mlp-") else ""
     if config.problem == "example1":
-        e1 = Example1Config(seed=config.seed, m=config.m, n=config.n)
-        prob, x0, c = gen_example1(e1)
-        t0 = time.perf_counter()
-        report, _ = _example1_cell(config, prob, x0, c, config.gamma,
-                                   config.solver, config.beta)
-        wall = (time.perf_counter() - t0) * 1e3
-        gamma, target_name = config.gamma, ""
-    elif config.problem.startswith("mlp-"):
-        target_name = config.problem[4:]
-        spec = MlpSpec(hidden_units=config.hidden_units,
-                       train_points=config.train_points, trials=config.trials)
-        data_ss, init_ss = _trial_seeds(config.seed,
-                                        BENCHMARK_IDS.index(target_name), 0)
-        objective = mlp_objective(spec, target_name, data_ss)
-        x0 = mlp_init(spec, init_ss)
-        frac = FracParams(config.alpha, config.rho, mlp_lower_terminal(spec))
-        stop = StopCriteria(config.grad_tol, config.max_iter,
-                            f_decrease_tol=config.f_decrease_tol)
-        t0 = time.perf_counter()
-        if config.solver == "CFCG":
-            report = cfcg_minimize(objective, x0, frac, config.beta,
-                                   ls=config.line_search(), stop=stop,
-                                   quad=config.quad_spec())
-        else:
-            report = cfsd_minimize(objective, x0, frac, GridStep(config.sd_grid),
-                                   stop=stop, quad=config.quad_spec())
-        wall = (time.perf_counter() - t0) * 1e3
-        gamma = float("nan")
+        prob, x0, frac = _example1_instance(config, (config.gamma,))
+        problem = _tikhonov_problem(config, prob, x0, frac, config.gamma)
+    elif target in BENCHMARK_IDS:
+        problem = _mlp_problem(config, config.alpha, target,
+                               BENCHMARK_IDS.index(target), 0)
     else:
         raise ConfigError(f"unknown problem {config.problem!r}")
 
-    step = config.sd_step if config.solver == "CFSD" else float("nan")
-    row = _row_from_report(report, experiment="single", solver=config.solver,
-                           beta=config.beta if config.solver == "CFCG" else "",
-                           alpha=config.alpha, rho=config.rho, gamma=gamma,
-                           seed=config.seed, target=target_name,
-                           step_param=step, wall_ms=wall)
-    if out_dir is not None and config.write_traces:
-        write_trace_csv(report.trace, Path(out_dir) / "trace_single.csv")
+    report, wall, step = _run_cell(config, problem, config.solver, config.beta,
+                                   out_dir, "trace_single.csv")
+    gamma = float("nan") if target else config.gamma
+    row = _row_from_report(report, config, "single", config.solver,
+                           config.beta, gamma, step, wall, target)
     return row, report
 
 
@@ -454,14 +443,17 @@ def _build_parser():
     return parser
 
 
+# flags copied as given: flag attribute -> config field
+_PLAIN_FLAGS = {"seed": "seed", "alpha": "alpha", "rho": "rho",
+                "tol": "grad_tol", "max_iter": "max_iter", "out": "out",
+                "format": "format", "problem": "problem", "solver": "solver"}
+
+
 def _apply_overrides(config, args, command):
     updates = {"experiment": command}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.alpha is not None:
-        updates["alpha"] = args.alpha
-    if args.rho is not None:
-        updates["rho"] = args.rho
+    for flag, name in _PLAIN_FLAGS.items():
+        if getattr(args, flag, None) is not None:
+            updates[name] = getattr(args, flag)
     if args.beta is not None:
         kinds = tuple(k.strip().upper() for k in args.beta.split(","))
         bad = [k for k in kinds if k not in ALL_KINDS]
@@ -470,22 +462,12 @@ def _apply_overrides(config, args, command):
         updates["beta_kinds"] = kinds
         updates["beta"] = kinds[0]
     if args.gamma is not None:
-        grid = tuple(float(g) for g in args.gamma.split(","))
+        try:
+            grid = tuple(float(g) for g in args.gamma.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"--gamma: {exc}") from exc
         updates["gamma_grid"] = grid
         updates["gamma"] = grid[0]
-    if args.tol is not None:
-        updates["grad_tol"] = args.tol
-    if args.max_iter is not None:
-        updates["max_iter"] = args.max_iter
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.format is not None:
-        updates["format"] = args.format
-    if command == "single":
-        if args.problem is not None:
-            updates["problem"] = args.problem
-        if args.solver is not None:
-            updates["solver"] = args.solver
     return dataclasses.replace(config, **updates)
 
 

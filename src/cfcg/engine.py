@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fraccalc import FracParams, QuadratureSpec, frac_gradient_general
+from .fraccalc import frac_gradient_general
 
 __all__ = [
     "BetaKind",
@@ -311,29 +311,29 @@ def _gradient_evaluator(f, frac, quad):
     return grad
 
 
-def cfcg_minimize(f, x0, frac, kind, ls=None, stop=None, quad=None,
-                  reference=None, keep_vectors=False):
-    """Fractional conjugate-gradient minimization.
+def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
+    """The one iteration loop behind both solvers.
 
-    f          : Objective (analytic gradient hook or quadrature path)
-    x0         : starting point
-    frac       : FracParams
-    kind       : BetaKind (or its string value)
-    ls, stop   : LineSearchParams / StopCriteria, defaulted when omitted
-    quad       : QuadratureSpec for the general-gradient path
-    reference  : optional point whose distance is logged per iteration
-    keep_vectors : retain per-iteration x, g, d (for invariant replay)
+    kind is a BetaKind for conjugate directions, or None for steepest
+    descent (beta = 0, d = -g, no restarts).  rule is a LineSearchParams
+    for the Armijo-Wolfe search, or a GridStep whose entries are all tried
+    and the lowest trial value kept; a FixedStep is the one-entry grid,
+    and its run also stops after DIVERGENCE_STREAK consecutive objective
+    increases.  Every step evaluates the gradient once, at the accepted
+    point.
     """
-    kind = BetaKind(kind)
-    ls = ls or LineSearchParams()
     stop = stop or StopCriteria()
     grad = _gradient_evaluator(f, frac, quad)
+    search = isinstance(rule, LineSearchParams)
+    fixed = isinstance(rule, FixedStep)
+    etas = (rule.eta,) if fixed else None if search else rule.etas
 
     x = np.asarray(x0, dtype=float).copy()
     f_x = f.eval(x)
     g = grad(x)
     g_prev = d_prev = None
     force_restart = False
+    increase_streak = 0
     trace = []
     xs = [x.copy()] if keep_vectors else None
     gs = [g.copy()] if keep_vectors else None
@@ -352,43 +352,60 @@ def cfcg_minimize(f, x0, frac, kind, ls=None, stop=None, quad=None,
 
         restarted = False
         beta = 0.0
-        if d_prev is None:
+        if kind is None:
             d = -g
-        elif force_restart or abs(float(g @ g_prev)) >= STALENESS_RESTART * gn * gn:
-            d, restarted = -g, True
+            descent_inner, cos_theta = -gn * gn, 1.0
         else:
-            try:
-                beta = beta_value(kind, g, g_prev, d_prev)
-            except DenominatorUnderflow:
-                beta = 0.0
+            if d_prev is None:
+                d = -g
+            elif force_restart or abs(float(g @ g_prev)) >= STALENESS_RESTART * gn * gn:
                 d, restarted = -g, True
             else:
-                d, restarted = direction(g, beta, d_prev)
-            if restarted:
-                beta = 0.0
+                try:
+                    beta = beta_value(kind, g, g_prev, d_prev)
+                    d, restarted = direction(g, beta, d_prev)
+                except DenominatorUnderflow:
+                    d, restarted = -g, True
+                if restarted:
+                    beta = 0.0
+            descent_inner = float(g @ d)
+            cos_theta = -descent_inner / (gn * float(np.linalg.norm(d)))
 
-        descent_inner = float(g @ d)
-        cos_theta = -descent_inner / (gn * float(np.linalg.norm(d)))
-        try:
-            res = armijo_wolfe_search(f, grad, x, d, g, ls, f_x=f_x)
-        except LineSearchError as exc:
-            status, reason = RunStatus.LINE_SEARCH_FAILURE, str(exc)
-            break
+        if search:
+            try:
+                res = armijo_wolfe_search(f, grad, x, d, g, rule, f_x=f_x)
+            except LineSearchError as exc:
+                status, reason = RunStatus.LINE_SEARCH_FAILURE, str(exc)
+                break
+            eta, trials, x_new, f_new = res.eta, res.trials, res.x_new, res.f_new
+            g_new = res.g_new
+        else:
+            points = [x + e * d for e in etas]
+            trial_fs = [f.eval(z) for z in points]
+            j = int(np.argmin(trial_fs)) if len(etas) > 1 else 0
+            eta, trials, x_new, f_new = etas[j], len(etas), points[j], trial_fs[j]
+            g_new = grad(x_new)
 
-        trace.append(IterRecord(k, f_x, gn, res.eta, beta, descent_inner,
+        trace.append(IterRecord(k, f_x, gn, eta, beta, descent_inner,
                                 cos_theta, restarted, dist(x)))
         if keep_vectors:
-            gs.append(res.g_new.copy())
+            gs.append(g_new.copy())
             ds.append(d.copy())
-            steps.append(res.eta)
-            xs.append(res.x_new.copy())
+            steps.append(eta)
+            xs.append(x_new.copy())
 
-        displacement = res.eta * float(np.linalg.norm(d))
-        force_restart = (displacement < STALL_DISPLACEMENT * (1.0 + float(np.linalg.norm(x)))
-                         or res.trials >= STALL_TRIALS)
-        decrease = f_x - res.f_new
-        g_prev, d_prev = g, d
-        x, f_x, g = res.x_new, res.f_new, res.g_new
+        if kind is not None:
+            displacement = eta * float(np.linalg.norm(d))
+            force_restart = (displacement < STALL_DISPLACEMENT * (1.0 + float(np.linalg.norm(x)))
+                             or trials >= STALL_TRIALS)
+            g_prev, d_prev = g, d
+        if fixed:
+            increase_streak = increase_streak + 1 if f_new > f_x else 0
+        decrease = f_x - f_new
+        x, f_x, g = x_new, f_new, g_new
+        if increase_streak >= DIVERGENCE_STREAK:
+            status, reason, k = RunStatus.MAX_ITER, "divergence", k + 1
+            break
         if stop.f_decrease_tol is not None and decrease < stop.f_decrease_tol:
             status, reason, k = RunStatus.CONVERGED, "f_decrease", k + 1
             break
@@ -402,67 +419,35 @@ def cfcg_minimize(f, x0, frac, kind, ls=None, stop=None, quad=None,
                      f.gradient_evals, x, gn, trace, xs, gs, ds, steps)
 
 
+def cfcg_minimize(f, x0, frac, kind, ls=None, stop=None, quad=None,
+                  reference=None, keep_vectors=False):
+    """Fractional conjugate-gradient minimization.
+
+    f          : Objective (analytic gradient hook or quadrature path)
+    x0         : starting point
+    frac       : FracParams
+    kind       : BetaKind (or its string value)
+    ls, stop   : LineSearchParams / StopCriteria, defaulted when omitted
+    quad       : QuadratureSpec for the general-gradient path
+    reference  : optional point whose distance is logged per iteration
+    keep_vectors : retain per-iteration x, g, d (for invariant replay)
+    """
+    return _minimize(f, x0, frac, BetaKind(kind), ls or LineSearchParams(),
+                     stop, quad, reference, keep_vectors)
+
+
 def cfsd_minimize(f, x0, frac, step_rule, stop=None, quad=None,
                   reference=None, keep_vectors=False):
-    """Fractional steepest descent: x <- x - eta * g.
+    """Fractional steepest descent: x <- x - eta * g, the beta = 0 case of
+    the conjugate-gradient loop with a step rule in place of the search.
 
     FixedStep uses the configured constant step (one objective evaluation
     per iteration, used by the divergence guard, so evaluations exceed
     iterations by exactly one).  GridStep tries every grid entry each
     iteration and takes the one with the lowest trial value.
     """
-    stop = stop or StopCriteria()
-    grad = _gradient_evaluator(f, frac, quad)
-
-    x = np.asarray(x0, dtype=float).copy()
-    f_x = f.eval(x)
-    g = grad(x)
-    trace = []
-    xs = [x.copy()] if keep_vectors else None
-    increase_streak = 0
-
-    def dist(z):
-        return float(np.linalg.norm(z - reference)) if reference is not None else None
-
-    status, reason, k = RunStatus.MAX_ITER, "max_iter", 0
-    for k in range(stop.max_iter):
-        gn = float(np.linalg.norm(g))
-        if gn < stop.grad_tol:
-            status, reason = RunStatus.CONVERGED, "grad_tol"
-            break
-
-        if isinstance(step_rule, FixedStep):
-            eta = step_rule.eta
-            x_new = x - eta * g
-            f_new = f.eval(x_new)
-            increase_streak = increase_streak + 1 if f_new > f_x else 0
-        else:
-            trial_fs = [f.eval(x - e * g) for e in step_rule.etas]
-            j = int(np.argmin(trial_fs))
-            eta = step_rule.etas[j]
-            x_new = x - eta * g
-            f_new = trial_fs[j]
-
-        trace.append(IterRecord(k, f_x, gn, eta, 0.0, -gn * gn, 1.0, False, dist(x)))
-        decrease = f_x - f_new
-        x, f_x = x_new, f_new
-        g = grad(x)
-        if keep_vectors:
-            xs.append(x.copy())
-        if increase_streak >= DIVERGENCE_STREAK:
-            status, reason, k = RunStatus.MAX_ITER, "divergence", k + 1
-            break
-        if stop.f_decrease_tol is not None and decrease < stop.f_decrease_tol:
-            status, reason, k = RunStatus.CONVERGED, "f_decrease", k + 1
-            break
-    else:
-        k = stop.max_iter
-
-    gn = float(np.linalg.norm(g))
-    trace.append(IterRecord(k, f_x, gn, math.nan, math.nan, math.nan, math.nan,
-                            False, dist(x)))
-    return RunReport(status, reason, k, f.objective_evals, f.gradient_evals,
-                     x, gn, trace, xs, None, None, None)
+    return _minimize(f, x0, frac, None, step_rule, stop, quad, reference,
+                     keep_vectors)
 
 
 def recheck_armijo_wolfe(report, f, grad, ls):

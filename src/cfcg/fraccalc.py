@@ -9,18 +9,16 @@ singular Caputo kernel along each coordinate line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "FracParams",
     "QuadratureSpec",
-    "ScalarCoefficients",
     "SingularTerminalError",
     "gamma_coeff",
     "taylor_coeff",
-    "scalar_coefficients",
     "caputo_deriv_1d",
     "frac_gradient_quadratic",
     "frac_gradient_general",
@@ -81,17 +79,6 @@ class QuadratureSpec:
             raise ValueError("fd_step must be positive")
 
 
-@dataclass(frozen=True)
-class ScalarCoefficients:
-    """The pair (gamma, C) with C = gamma + 1."""
-
-    gamma_ar: float
-    c_ar: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "c_ar", self.gamma_ar + 1.0)
-
-
 def gamma_coeff(alpha, rho):
     """rho - (1 - alpha) / (2 - alpha)."""
     _check_alpha(alpha)
@@ -105,10 +92,6 @@ def taylor_coeff(alpha, rho):
     """
     _check_alpha(alpha)
     return 1.0 / (2.0 - alpha) + rho
-
-
-def scalar_coefficients(alpha, rho):
-    return ScalarCoefficients(gamma_ar=gamma_coeff(alpha, rho))
 
 
 def _kernel_weights(ts, x, alpha):

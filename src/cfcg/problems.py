@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Objective
-from .fraccalc import FracParams, frac_gradient_quadratic
+from .fraccalc import frac_gradient_quadratic
 from .tikhonov import (BuildConvention, abar_matrix, build_quadratic,
-                       tikhonov_solution)
+                       check_Abar_pd, tikhonov_solution)
 
 __all__ = [
     "Example1Config",
@@ -113,9 +113,13 @@ def tikhonov_run_objective(prob, frac):
     fractional diagonal correction, and the quadratic is centered on the
     closed-form regularized solution, so the run's fractional gradient
     vanishes exactly there and the minimum value is zero.  Returns
-    (objective, target, abar).
+    (objective, target, abar); raises ArithmeticError when the iteration
+    matrix is not positive definite.
     """
     stacked = stacked_problem(prob)
+    if not check_Abar_pd(stacked, frac):
+        raise ArithmeticError(
+            f"iteration matrix not positive definite at gamma={prob.gamma}")
     abar = abar_matrix(stacked, frac)
     target = tikhonov_solution(prob)
     # b making frac_gradient_quadratic(A_stacked, b, x) == abar (x - target)

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fraccalc import FracParams
-
 __all__ = [
     "BuildConvention",
     "LeastSquaresProblem",
@@ -54,7 +52,6 @@ class LeastSquaresProblem:
     y      : length-m target
     A      : X X' (symmetric PSD by construction)
     b      : linear term under the chosen convention
-    c_quad : constant term, irrelevant to gradients
     r_bar  : diagonal of Rbar, i.e. sqrt(diag(A))
     gamma  : Tikhonov parameter (>= 0)
     x_bar  : anchor point of the regularizer
@@ -64,13 +61,12 @@ class LeastSquaresProblem:
     y: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    c_quad: float
     r_bar: np.ndarray
     gamma: float
     x_bar: np.ndarray
 
 
-def build_quadratic(X, y, convention, gamma=0.0, x_bar=None, c_quad=0.0):
+def build_quadratic(X, y, convention, gamma=0.0, x_bar=None):
     """Assemble a LeastSquaresProblem; A = XX' always, b per convention."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -92,9 +88,8 @@ def build_quadratic(X, y, convention, gamma=0.0, x_bar=None, c_quad=0.0):
     x_bar = np.zeros(n) if x_bar is None else np.asarray(x_bar, dtype=float)
     if x_bar.shape != (n,):
         raise ValueError(f"x_bar has shape {x_bar.shape}, expected ({n},)")
-    return LeastSquaresProblem(X=X, y=y, A=A, b=b, c_quad=float(c_quad),
-                               r_bar=np.sqrt(np.diag(A)), gamma=float(gamma),
-                               x_bar=x_bar)
+    return LeastSquaresProblem(X=X, y=y, A=A, b=b, r_bar=np.sqrt(np.diag(A)),
+                               gamma=float(gamma), x_bar=x_bar)
 
 
 def regularized_matrix(prob):

@@ -10,7 +10,7 @@ import pytest
 from cfcg.cli import (ConfigError, ExperimentConfig, ResultRow, load_config,
                       main, run_example1, run_example2, run_single,
                       save_config, write_rows, write_trace_csv, TRACE_COLUMNS,
-                      _example1_cell)
+                      _example1_instance, _run_cell, _tikhonov_problem)
 from cfcg.engine import LineSearchParams, RunStatus, StopCriteria, cfcg_minimize
 from cfcg.fraccalc import FracParams
 from cfcg.problems import Example1Config, gen_example1, tikhonov_run_objective
@@ -114,9 +114,9 @@ class TestSerialization:
 
     def test_trace_float_precision_round_trips(self, tmp_path):
         config = TINY
-        e1 = Example1Config(seed=config.seed, m=config.m, n=config.n)
-        prob, x0, c = gen_example1(e1)
-        report, _ = _example1_cell(config, prob, x0, c, 1.0, "CFCG", "FR")
+        prob, x0, frac = _example1_instance(config, (1.0,))
+        problem = _tikhonov_problem(config, prob, x0, frac, 1.0)
+        report, _, _ = _run_cell(config, problem, "CFCG", "FR")
         path = tmp_path / "trace.csv"
         write_trace_csv(report.trace, path)
         parsed = read_csv_rows(path)
@@ -126,6 +126,38 @@ class TestSerialization:
             assert float(row["grad_norm"]) == rec.grad_norm
             if not math.isnan(rec.step):
                 assert float(row["step"]) == rec.step
+
+
+MLP_TINY = dataclasses.replace(
+    ExperimentConfig(), experiment="single", problem="mlp-h2",
+    hidden_units=4, train_points=12, node_count=12, max_iter=30,
+    beta="FR", write_traces=True)
+
+# golden file -> (runner, config, trace file the run writes)
+GOLDEN_TRACES = {
+    "golden_trace_example1_cfcg_fr.csv":
+        (run_example1, dataclasses.replace(TINY, write_traces=True),
+         "trace_example1_g1_CFCG_FR.csv"),
+    "golden_trace_example1_cfsd.csv":
+        (run_example1, dataclasses.replace(TINY, write_traces=True),
+         "trace_example1_g1_CFSD_FR.csv"),
+    "golden_trace_single_mlp_h2_cfcg_fr.csv":
+        (run_single, dataclasses.replace(MLP_TINY, solver="CFCG"),
+         "trace_single.csv"),
+    "golden_trace_single_mlp_h2_cfsd.csv":
+        (run_single, dataclasses.replace(MLP_TINY, solver="CFSD"),
+         "trace_single.csv"),
+}
+
+
+class TestGoldenTraces:
+    # traces carry no wall time, so the whole file is pinned byte for byte
+    @pytest.mark.parametrize("golden", sorted(GOLDEN_TRACES))
+    def test_trace_bytes(self, golden, tmp_path):
+        runner, config, written = GOLDEN_TRACES[golden]
+        runner(config, tmp_path)
+        got = (tmp_path / written).read_bytes()
+        assert got == (DATA_DIR / golden).read_bytes()
 
 
 class TestExample1Runner:
@@ -141,13 +173,12 @@ class TestExample1Runner:
 
     def test_sweep_isolation_matches_single_cell(self):
         rows = run_example1(DESK)
-        e1 = Example1Config(seed=DESK.seed, m=DESK.m, n=DESK.n,
-                            gamma_grid=DESK.gamma_grid)
-        prob, x0, c = gen_example1(e1)
+        prob, x0, frac = _example1_instance(DESK, DESK.gamma_grid)
         # reproduce an arbitrary interior cell in isolation
         target_row = next(r for r in rows
                           if r.solver == "CFCG" and r.beta == "DY" and r.gamma == 2.0)
-        report, _ = _example1_cell(DESK, prob, x0, c, 2.0, "CFCG", "DY")
+        problem = _tikhonov_problem(DESK, prob, x0, frac, 2.0)
+        report, _, _ = _run_cell(DESK, problem, "CFCG", "DY")
         assert report.iterations == target_row.iterations
         assert report.objective_evals == target_row.objective_evals
         assert report.final_grad_norm == target_row.final_grad_norm
@@ -227,14 +258,20 @@ class TestSingleRunner:
                                      config.line_search())
         assert slack >= -1e-12
 
-    def test_mlp_problem(self):
+    @pytest.mark.parametrize("solver", ["CFCG", "CFSD"])
+    def test_mlp_problem(self, solver):
         config = dataclasses.replace(
             ExperimentConfig(), experiment="single", problem="mlp-h2",
             hidden_units=4, train_points=12, node_count=12, max_iter=30,
-            solver="CFCG", beta="PRP", write_traces=False)
+            solver=solver, beta="PRP", write_traces=False)
         row, report = run_single(config)
         assert row.target == "h2"
         assert report.iterations <= 30
+        if solver == "CFSD":
+            # the rule run_single uses on MLP problems is the sd_grid search
+            assert row.step_param == max(config.sd_grid)
+        else:
+            assert math.isnan(row.step_param)
 
     def test_unknown_problem(self):
         config = dataclasses.replace(TINY, problem="rosenbrock")
@@ -275,9 +312,24 @@ class TestMainEntry:
         assert all(row["seed"] == 11 for row in payload)
         assert all(row["gamma"] == 1.0 for row in payload)
 
-    def test_bad_beta_flag(self, tmp_path):
-        assert main(["example1", "--beta", "XX",
-                     "--out", str(tmp_path / "o")]) == 2
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["example1", "--beta", "XX"], id="beta-XX"),
+        pytest.param(["example1", "--gamma", "1,abc"], id="gamma-not-a-number"),
+        pytest.param(["example1", "--gamma", "-5"], id="gamma-negative"),
+        pytest.param(["single", "--problem", "example1", "--gamma", "-5"],
+                     id="single-gamma-negative"),
+        pytest.param(["single", "--problem", "mlp-h9"], id="unknown-mlp-target"),
+        pytest.param(["example1", "--config", "m = 6\nn = 5\n"],
+                     id="m-differs-from-n"),
+    ])
+    def test_bad_beta_flag(self, argv, tmp_path, capsys):
+        if "--config" in argv:  # the value is the file's content
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(argv[-1])
+            argv = argv[:-1] + [str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     @staticmethod
     def _tiny_cfg(tmp_path):

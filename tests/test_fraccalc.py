@@ -5,8 +5,7 @@ import pytest
 
 from cfcg.fraccalc import (FracParams, QuadratureSpec, SingularTerminalError,
                            caputo_deriv_1d, frac_gradient_general,
-                           frac_gradient_quadratic, gamma_coeff,
-                           scalar_coefficients, taylor_coeff)
+                           frac_gradient_quadratic, gamma_coeff, taylor_coeff)
 
 
 def caputo_power_exact(x, power, alpha):
@@ -45,10 +44,6 @@ class TestScalarCoefficients:
             alpha = rng.uniform(1e-3, 1 - 1e-3)
             rho = rng.uniform(-5, 5)
             assert abs(taylor_coeff(alpha, rho) - gamma_coeff(alpha, rho) - 1.0) < 1e-12
-
-    def test_coefficient_pair_invariant(self):
-        pair = scalar_coefficients(0.7, 0.4)
-        assert pair.c_ar == pytest.approx(pair.gamma_ar + 1.0, abs=0)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.2])
     def test_domain_errors(self, alpha):
