@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -112,10 +113,8 @@ class ResultRow:
     step_param: float
     wall_ms: float
 
-    FIELDS = ("experiment", "solver", "beta", "alpha", "rho", "gamma", "seed",
-              "target", "trials_completed", "status", "stop_reason",
-              "iterations", "objective_evals", "gradient_evals",
-              "final_grad_norm", "final_dist", "step_param", "wall_ms")
+
+ResultRow.FIELDS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +140,6 @@ def _parse_value(text, sample):
         parts = [p.strip() for p in text.split(",")]
         if isinstance(elem, float):
             return tuple(float(p) for p in parts)
-        if isinstance(elem, int):
-            return tuple(int(p) for p in parts)
         return tuple(parts)
     return text
 
@@ -293,6 +290,8 @@ def _example1_instance(config, gammas):
         raise ConfigError(f"example1 needs m = n, got m={config.m}, n={config.n}")
     if not all(g >= 0.0 for g in gammas):
         raise ConfigError(f"gamma must be nonnegative, got {_format_value(gammas)}")
+    if not config.sd_step > 0.0:
+        raise ConfigError(f"sd_step must be positive, got {config.sd_step!r}")
     prob, x0, c = gen_example1(Example1Config(seed=config.seed, m=config.m,
                                               n=config.n))
     return prob, x0, FracParams(config.alpha, config.rho, c)
@@ -307,30 +306,39 @@ def _tikhonov_problem(config, prob, x0, frac, gamma):
                     FixedStep(config.sd_step), reference=target)
 
 
+def _example1_cell(config, setup, solver, beta, out_dir=None, trace_name=None):
+    """One example1 cell; setup() returns the problem of the cell's gamma
+    (built by the first cell that calls it).  perfbench's tracer times each
+    call of this function as one cell, setup included."""
+    return _run_cell(config, setup(), solver, beta, out_dir, trace_name)
+
+
 def run_example1(config, out_dir=None):
     """Sweep gamma grid x beta kinds x solvers on one seeded instance."""
     prob, x0, frac = _example1_instance(config, config.gamma_grid)
     rows = []
     for gamma in config.gamma_grid:
-        try:
-            problem = _tikhonov_problem(config, prob, x0, frac, gamma)
-        except Exception as exc:  # noqa: BLE001 - the rows record the failure
-            nan = float("nan")
-            rows += [ResultRow(
-                experiment="example1", solver=solver, beta=beta_kind,
-                alpha=config.alpha, rho=config.rho, gamma=gamma,
-                seed=config.seed, target="", trials_completed=0,
-                status=f"Error({type(exc).__name__})", stop_reason=str(exc),
-                iterations=nan, objective_evals=nan, gradient_evals=nan,
-                final_grad_norm=nan, final_dist=nan, step_param=nan,
-                wall_ms=0.0)
-                for beta_kind in config.beta_kinds for solver in config.solvers]
-            continue
+        # a failed setup is not cached: each cell retries it and records
+        # the same error
+        setup = functools.cache(functools.partial(
+            _tikhonov_problem, config, prob, x0, frac, gamma))
         for beta_kind in config.beta_kinds:
             for solver in config.solvers:
                 name = f"trace_example1_g{gamma:g}_{solver}_{beta_kind}.csv"
-                report, wall, step = _run_cell(config, problem, solver,
-                                               beta_kind, out_dir, name)
+                try:
+                    report, wall, step = _example1_cell(
+                        config, setup, solver, beta_kind, out_dir, name)
+                except Exception as exc:  # noqa: BLE001 - row records the failure
+                    nan = float("nan")
+                    rows.append(ResultRow(
+                        experiment="example1", solver=solver, beta=beta_kind,
+                        alpha=config.alpha, rho=config.rho, gamma=gamma,
+                        seed=config.seed, target="", trials_completed=0,
+                        status=f"Error({type(exc).__name__})", stop_reason=str(exc),
+                        iterations=nan, objective_evals=nan, gradient_evals=nan,
+                        final_grad_norm=nan, final_dist=nan, step_param=nan,
+                        wall_ms=0.0))
+                    continue
                 rows.append(_row_from_report(report, config, "example1", solver,
                                              beta_kind, gamma, step, wall))
     return rows
@@ -351,20 +359,14 @@ def _mlp_problem(config, alpha, target, target_index, trial):
 
 
 def _mean_row(reports, walls, config, solver, beta, alpha, target, step_param):
-    n = len(reports)
     worst = max(reports, key=lambda r: (r.status is not RunStatus.CONVERGED,))
-    return ResultRow(
-        experiment="example2", solver=solver, beta=beta, alpha=alpha,
-        rho=config.rho, gamma=float("nan"), seed=config.seed, target=target,
-        trials_completed=n,
-        status=worst.status.value, stop_reason="mean-over-trials",
-        iterations=float(np.mean([r.iterations for r in reports])),
-        objective_evals=float(np.mean([r.objective_evals for r in reports])),
-        gradient_evals=float(np.mean([r.gradient_evals for r in reports])),
-        final_grad_norm=float(np.mean([r.final_grad_norm for r in reports])),
-        final_dist=float("nan"), step_param=step_param,
-        wall_ms=float(np.sum(walls)),
-    )
+    row = _row_from_report(worst, config, "example2", solver, beta, float("nan"),
+                           step_param, float(np.sum(walls)), target)
+    means = {name: float(np.mean([getattr(r, name) for r in reports]))
+             for name in ("iterations", "objective_evals", "gradient_evals",
+                          "final_grad_norm")}
+    return dataclasses.replace(row, alpha=alpha, trials_completed=len(reports),
+                               stop_reason="mean-over-trials", **means)
 
 
 def run_example2(config, out_dir=None):
@@ -396,15 +398,16 @@ def run_single(config, out_dir=None):
     target = config.problem[4:] if config.problem.startswith("mlp-") else ""
     if config.problem == "example1":
         prob, x0, frac = _example1_instance(config, (config.gamma,))
-        problem = _tikhonov_problem(config, prob, x0, frac, config.gamma)
+        cell = functools.partial(_example1_cell, config, functools.partial(
+            _tikhonov_problem, config, prob, x0, frac, config.gamma))
     elif target in BENCHMARK_IDS:
-        problem = _mlp_problem(config, config.alpha, target,
-                               BENCHMARK_IDS.index(target), 0)
+        cell = functools.partial(_run_cell, config, _mlp_problem(
+            config, config.alpha, target, BENCHMARK_IDS.index(target), 0))
     else:
         raise ConfigError(f"unknown problem {config.problem!r}")
 
-    report, wall, step = _run_cell(config, problem, config.solver, config.beta,
-                                   out_dir, "trace_single.csv")
+    report, wall, step = cell(config.solver, config.beta, out_dir,
+                              "trace_single.csv")
     gamma = float("nan") if target else config.gamma
     row = _row_from_report(report, config, "single", config.solver,
                            config.beta, gamma, step, wall, target)

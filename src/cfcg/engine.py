@@ -295,19 +295,17 @@ def armijo_wolfe_search(f, grad, x, d, g, params, f_x=None):
 
 def _gradient_evaluator(f, frac, quad):
     hook = f.frac_gradient
-    if hook is not None:
-        def grad(x):
-            f.gradient_evals += 1
+    if hook is None and quad is None:
+        raise ValueError(
+            "objective has no analytic fractional-gradient hook; "
+            "a QuadratureSpec is required"
+        )
+
+    def grad(x):
+        f.gradient_evals += 1
+        if hook is not None:
             return np.asarray(hook(x), dtype=float)
-    else:
-        if quad is None:
-            raise ValueError(
-                "objective has no analytic fractional-gradient hook; "
-                "a QuadratureSpec is required"
-            )
-        def grad(x):
-            f.gradient_evals += 1
-            return frac_gradient_general(f, x, frac, quad, crossing_guard=True)
+        return frac_gradient_general(f, x, frac, quad, crossing_guard=True)
     return grad
 
 
@@ -335,10 +333,13 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     force_restart = False
     increase_streak = 0
     trace = []
+    # g, d and the steps are kept for recheck_armijo_wolfe, so only when a
+    # line search chose the steps
+    keep_search = keep_vectors and search
     xs = [x.copy()] if keep_vectors else None
-    gs = [g.copy()] if keep_vectors else None
-    ds = [] if keep_vectors else None
-    steps = [] if keep_vectors else None
+    gs = [g.copy()] if keep_search else None
+    ds = [] if keep_search else None
+    steps = [] if keep_search else None
 
     def dist(z):
         return float(np.linalg.norm(z - reference)) if reference is not None else None
@@ -382,17 +383,19 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
         else:
             points = [x + e * d for e in etas]
             trial_fs = [f.eval(z) for z in points]
-            j = int(np.argmin(trial_fs)) if len(etas) > 1 else 0
+            # np.argmin costs ~5 us a call, too much for fixed-step runs
+            j = 0 if fixed else int(np.argmin(trial_fs))
             eta, trials, x_new, f_new = etas[j], len(etas), points[j], trial_fs[j]
             g_new = grad(x_new)
 
         trace.append(IterRecord(k, f_x, gn, eta, beta, descent_inner,
                                 cos_theta, restarted, dist(x)))
         if keep_vectors:
+            xs.append(x_new.copy())
+        if keep_search:
             gs.append(g_new.copy())
             ds.append(d.copy())
             steps.append(eta)
-            xs.append(x_new.copy())
 
         if kind is not None:
             displacement = eta * float(np.linalg.norm(d))
@@ -444,7 +447,8 @@ def cfsd_minimize(f, x0, frac, step_rule, stop=None, quad=None,
     FixedStep uses the configured constant step (one objective evaluation
     per iteration, used by the divergence guard, so evaluations exceed
     iterations by exactly one).  GridStep tries every grid entry each
-    iteration and takes the one with the lowest trial value.
+    iteration and takes the one with the lowest trial value.  keep_vectors
+    retains x only, so recheck_armijo_wolfe refuses the report.
     """
     return _minimize(f, x0, frac, None, step_rule, stop, quad, reference,
                      keep_vectors)
@@ -457,7 +461,8 @@ def recheck_armijo_wolfe(report, f, grad, ls):
     means a violated condition).  Evaluations here are uncounted probes.
     """
     if report.xs is None or report.ds is None:
-        raise ValueError("run was not executed with keep_vectors=True")
+        raise ValueError("run kept no line-search steps "
+                         "(cfcg_minimize with keep_vectors=True)")
     worst = math.inf
     for i, d in enumerate(report.ds):
         x = report.xs[i]

@@ -191,7 +191,6 @@ def frac_gradient_general(f, x, params, spec, crossing_guard=False):
     use this so that an iterate brushing past a terminal does not abort
     the run.
     """
-    _check_alpha(params.alpha)
     x = np.asarray(x, dtype=float)
     c = params.c
     if x.shape != c.shape:

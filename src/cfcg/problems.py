@@ -35,12 +35,6 @@ __all__ = [
 BENCHMARK_IDS = ("h1", "h2", "h3")
 
 
-def _as_seed_sequence(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 @dataclass(frozen=True)
 class Example1Config:
     seed: int = 42
@@ -164,7 +158,7 @@ def mlp_param_bounds(spec):
 
 def mlp_init(spec, seed):
     bounds = mlp_param_bounds(spec)
-    rng = np.random.default_rng(_as_seed_sequence(seed))
+    rng = np.random.default_rng(seed)
     return rng.uniform(-bounds, bounds)
 
 
@@ -181,9 +175,7 @@ def mlp_objective(spec, target, data_seed):
     from data_seed only.  Besides plain evaluation the objective carries a
     vectorized coordinate-line evaluator used by the quadrature path.
     """
-    if target not in BENCHMARK_IDS:
-        raise ValueError(f"unknown benchmark id {target!r}")
-    rng = np.random.default_rng(_as_seed_sequence(data_seed))
+    rng = np.random.default_rng(data_seed)
     lo, hi = spec.input_interval
     z = rng.uniform(lo, hi, spec.train_points)
     tv = benchmark_fn(target, z)

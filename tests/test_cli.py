@@ -321,6 +321,8 @@ class TestMainEntry:
         pytest.param(["single", "--problem", "mlp-h9"], id="unknown-mlp-target"),
         pytest.param(["example1", "--config", "m = 6\nn = 5\n"],
                      id="m-differs-from-n"),
+        pytest.param(["example1", "--config", "sd_step = 0\n"],
+                     id="sd-step-nonpositive"),
     ])
     def test_bad_beta_flag(self, argv, tmp_path, capsys):
         if "--config" in argv:  # the value is the file's content

@@ -360,6 +360,16 @@ class TestCfsd:
         # from x=1 with g=1: f(0) = 0 beats f(0.8); step 1.0 chosen
         assert rep.trace[0].step == 1.0
 
+    def test_kept_vectors_refuse_line_search_recheck(self):
+        # no line search chose the steps, so there is nothing to recheck
+        frac = classical_params(2)
+        obj, _, _ = quadratic_objective(np.eye(2), np.zeros(2), frac)
+        rep = cfsd_minimize(obj, np.ones(2), frac, FixedStep(0.1),
+                            stop=StopCriteria(1e-12, 3), keep_vectors=True)
+        assert len(rep.xs) == 4 and rep.gs is None and rep.ds is None
+        with pytest.raises(ValueError):
+            recheck_armijo_wolfe(rep, obj, obj.frac_gradient, LineSearchParams())
+
     def test_divergence_guard(self):
         # a hook pointing uphill makes every fixed step increase f
         obj = Objective(lambda x: 0.5 * float(x @ x),
