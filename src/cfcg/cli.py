@@ -20,6 +20,7 @@ import functools
 import json
 import sys
 import time
+import typing
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,18 +48,19 @@ __all__ = [
 ]
 
 ALL_KINDS = tuple(k.value for k in BetaKind)
+OUTPUT_FORMATS = ("csv", "json")
 
 
 @dataclass
 class ExperimentConfig:
     experiment: str = "example1"
     seed: int = 42
-    beta_kinds: tuple = ALL_KINDS
+    beta_kinds: tuple[str, ...] = ALL_KINDS
     alpha: float = 0.9
-    alpha_grid: tuple = ()
+    alpha_grid: tuple[float, ...] = ()
     rho: float = 0.1
-    gamma_grid: tuple = (0.5, 0.75, 1.0, 2.0, 3.0, 4.0)
-    solvers: tuple = ("CFCG", "CFSD")
+    gamma_grid: tuple[float, ...] = (0.5, 0.75, 1.0, 2.0, 3.0, 4.0)
+    solvers: tuple[str, ...] = ("CFCG", "CFSD")
     grad_tol: float = 1e-4
     max_iter: int = 2000
     c1: float = 1e-4
@@ -66,7 +68,7 @@ class ExperimentConfig:
     backtrack_ratio: float = 0.5
     max_trials: int = 60
     sd_step: float = 2e-4
-    sd_grid: tuple = (0.01, 0.005, 0.001, 0.0005, 0.0001, 0.00005, 0.00001)
+    sd_grid: tuple[float, ...] = (0.01, 0.005, 0.001, 0.0005, 0.0001, 0.00005, 0.00001)
     f_decrease_tol: float = 1e-4
     node_count: int = 32
     fd_step: float = 1e-5
@@ -75,7 +77,7 @@ class ExperimentConfig:
     hidden_units: int = 60
     train_points: int = 100
     trials: int = 5
-    targets: tuple = BENCHMARK_IDS
+    targets: tuple[str, ...] = BENCHMARK_IDS
     problem: str = "example1"
     solver: str = "CFCG"
     beta: str = "FR"
@@ -121,26 +123,23 @@ ResultRow.FIELDS = tuple(f.name for f in dataclasses.fields(ResultRow))
 # config file io
 
 
-def _parse_value(text, sample):
+def _parse_value(text, kind):
+    """A config value of the field type ``kind``: bool, int, float, str or
+    a tuple[elem, ...] written comma-separated."""
     text = text.strip()
-    if isinstance(sample, bool):
+    if kind is bool:
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"not a boolean: {text!r}")
-    if isinstance(sample, int):
-        return int(text)
-    if isinstance(sample, float):
-        return float(text)
-    if isinstance(sample, tuple):
+    if kind in (int, float):
+        return kind(text)
+    if typing.get_origin(kind) is tuple:
         if not text:
             return ()
-        elem = sample[0] if sample else ""
-        parts = [p.strip() for p in text.split(",")]
-        if isinstance(elem, float):
-            return tuple(float(p) for p in parts)
-        return tuple(parts)
+        elem = typing.get_args(kind)[0]
+        return tuple(elem(p.strip()) for p in text.split(","))
     return text
 
 
@@ -157,7 +156,7 @@ class ConfigError(ValueError):
 
 
 def load_config(path):
-    defaults = ExperimentConfig()
+    kinds = typing.get_type_hints(ExperimentConfig)
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -167,13 +166,15 @@ def load_config(path):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip()
-        if key not in {f.name for f in dataclasses.fields(ExperimentConfig)}:
+        if key not in kinds:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _parse_value(text, getattr(defaults, key))
+            values[key] = _parse_value(text, kinds[key])
+            if key == "format" and values[key] not in OUTPUT_FORMATS:
+                raise ValueError(f"unknown output format {values[key]!r}")
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: field {key!r}: {exc}") from exc
-    return dataclasses.replace(defaults, **values)
+    return ExperimentConfig(**values)
 
 
 def save_config(config, path):
@@ -344,11 +345,13 @@ def run_example1(config, out_dir=None):
     return rows
 
 
-def _mlp_problem(config, alpha, target, target_index, trial):
-    """One seeded network-training trial on one target."""
+def _mlp_problem(config, alpha, target, trial):
+    """One seeded network-training trial on one target; the seeds depend on
+    the target's place in BENCHMARK_IDS, not on the other targets run."""
     spec = MlpSpec(hidden_units=config.hidden_units,
                    train_points=config.train_points, trials=config.trials)
-    seeds = np.random.SeedSequence((config.seed, target_index, trial))
+    seeds = np.random.SeedSequence(
+        (config.seed, BENCHMARK_IDS.index(target), trial))
     data_ss, init_ss = seeds.spawn(2)
     return _Problem(
         mlp_objective(spec, target, data_ss), mlp_init(spec, init_ss),
@@ -371,17 +374,20 @@ def _mean_row(reports, walls, config, solver, beta, alpha, target, step_param):
 
 def run_example2(config, out_dir=None):
     """Network-training comparison; one mean row per (alpha, target, solver/beta)."""
+    bad = [t for t in config.targets if t not in BENCHMARK_IDS]
+    if bad:
+        raise ConfigError(f"unknown target(s): {', '.join(bad)}")
     alphas = config.alpha_grid if config.alpha_grid else (config.alpha,)
     cells = [("CFCG", bk) for bk in config.beta_kinds]
     if "CFSD" in config.solvers:
         cells.append(("CFSD", ""))
     rows = []
     for alpha in alphas:
-        for ti, target in enumerate(config.targets):
+        for target in config.targets:
             for solver, beta_kind in cells:
                 reports, walls = [], []
                 for trial in range(config.trials):
-                    problem = _mlp_problem(config, alpha, target, ti, trial)
+                    problem = _mlp_problem(config, alpha, target, trial)
                     name = (f"trace_example2_a{alpha:g}_{target}_"
                             f"{solver}{beta_kind}_t{trial}.csv")
                     report, wall, step = _run_cell(config, problem, solver,
@@ -402,7 +408,7 @@ def run_single(config, out_dir=None):
             _tikhonov_problem, config, prob, x0, frac, config.gamma))
     elif target in BENCHMARK_IDS:
         cell = functools.partial(_run_cell, config, _mlp_problem(
-            config, config.alpha, target, BENCHMARK_IDS.index(target), 0))
+            config, config.alpha, target, 0))
     else:
         raise ConfigError(f"unknown problem {config.problem!r}")
 
@@ -438,7 +444,7 @@ def _build_parser():
         p.add_argument("--max-iter", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", type=str, default=None,
-                       choices=("csv", "json"))
+                       choices=OUTPUT_FORMATS)
         if name == "single":
             p.add_argument("--problem", type=str, default=None)
             p.add_argument("--solver", type=str, default=None,

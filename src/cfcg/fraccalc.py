@@ -28,6 +28,11 @@ __all__ = [
 #: is considered singular
 TERMINAL_GUARD = 1e-8
 
+#: coordinate lines sampled per line evaluation; at node_count 32 (the
+#: CLI default) a group's sample arrays stay under glibc's 128 KiB mmap
+#: threshold
+LINE_GROUP = 32
+
 
 class SingularTerminalError(ValueError):
     """Some |x_i - c_i| is below the terminal guard."""
@@ -95,7 +100,8 @@ def taylor_coeff(alpha, rho):
 
 
 def _kernel_weights(ts, x, alpha):
-    """Per-node weights of the product-trapezoid rule on [ts[0], x].
+    """Per-node weights of the product-trapezoid rule on [ts[r, 0], x[r]],
+    one row r per line.
 
     The integrand is k(t) * p(t) with k(t) = (x - t)^(-alpha) and p the
     piecewise-linear interpolant of the sampled integrand values; k is
@@ -103,14 +109,14 @@ def _kernel_weights(ts, x, alpha):
     needs no special casing.
     """
     om = 1.0 - alpha
-    a_dist = x - ts[:-1]
-    b_dist = x - ts[1:]
+    a_dist = x[:, None] - ts[:, :-1]
+    b_dist = x[:, None] - ts[:, 1:]
     i0 = (a_dist**om - b_dist**om) / om
     i1 = a_dist * i0 - (a_dist ** (om + 1.0) - b_dist ** (om + 1.0)) / (om + 1.0)
-    h = ts[1] - ts[0]
+    h = ts[:, 1:2] - ts[:, 0:1]
     w = np.zeros_like(ts)
-    w[:-1] += i0 - i1 / h
-    w[1:] += i1 / h
+    w[:, :-1] += i0 - i1 / h
+    w[:, 1:] += i1 / h
     return w
 
 
@@ -129,7 +135,7 @@ def caputo_deriv_1d(derivative_sampler, a, x, alpha, spec):
         return 0.0
     ts = np.linspace(a, x, spec.node_count + 1)
     vals = np.asarray([derivative_sampler(t) for t in ts], dtype=float)
-    w = _kernel_weights(ts, x, alpha)
+    w = _kernel_weights(ts[None, :], np.array([x], dtype=float), alpha)[0]
     return float(w @ vals) / math.gamma(1.0 - alpha)
 
 
@@ -156,26 +162,35 @@ def frac_gradient_quadratic(A, b, x, params):
     return A @ x + b + params.gamma * rbar * (x - params.c)
 
 
-def _line_samples(f, x, i, ts, h):
-    """f along coordinate i at ts+h, ts-h and ts (stacked), cheaply if possible."""
-    samples = np.concatenate([ts + h, ts - h, ts])
+def _line_samples(f, x, ii, where, h):
+    """f along the coordinate lines ii at where+h, where-h and where.
+
+    ``where`` and ``h`` hold one row of abscissae per coordinate, and the
+    three sample sets come back in that (rows, nodes) shape.  An
+    objective's vectorized ``eval_line(x, idx, ts)`` gets all the points
+    in one call; otherwise ``eval_uncounted`` (or the plain callable) is
+    probed point by point.
+    """
+    pts = np.stack([where + h, where - h, where], axis=1)
+    idx = np.repeat(ii, pts[0].size)
     line = getattr(f, "eval_line", None)
     if line is not None:
-        out = np.asarray(line(x, i, samples), dtype=float)
+        out = np.asarray(line(x, idx, pts.ravel()), dtype=float)
     else:
         fn = getattr(f, "eval_uncounted", f)
         z = np.array(x, dtype=float)
-        out = np.empty(samples.size)
-        for j, t in enumerate(samples):
+        out = np.empty(pts.size)
+        for j, (i, t) in enumerate(zip(idx, pts.flat)):
             z[i] = t
             out[j] = fn(z)
-    m = ts.size
-    return out[:m], out[m : 2 * m], out[2 * m :]
+            z[i] = x[i]
+    out = out.reshape(pts.shape)
+    return out[:, 0], out[:, 1], out[:, 2]
 
 
 def frac_gradient_general(f, x, params, spec, crossing_guard=False):
-    """Fractional gradient by singular-kernel quadrature, one coordinate
-    line at a time.
+    """Fractional gradient by singular-kernel quadrature along every
+    coordinate line.
 
     Coordinate i is
         [ D^alpha f + rho |x_i - c_i| D^(1+alpha) f ] / D^alpha I,
@@ -184,6 +199,11 @@ def frac_gradient_general(f, x, params, spec, crossing_guard=False):
     x_i < c_i the integral runs over [x_i, c_i] with the kernel singular
     at x_i; the odd-order term picks up a sign, the even-order one does
     not, which keeps the classical limit correct on both sides.
+
+    The lines are sampled in groups of ``LINE_GROUP`` coordinates, one
+    line evaluation per group, so an objective with a vectorized
+    ``eval_line`` shares its work across the group; each coordinate's
+    value is bit-for-bit what it would be on its own.
 
     With ``crossing_guard`` a coordinate inside the terminal guard falls
     back to its classical central-difference partial (the limit of the
@@ -198,32 +218,42 @@ def frac_gradient_general(f, x, params, spec, crossing_guard=False):
     alpha, rho = params.alpha, params.rho
     gamma2 = math.gamma(2.0 - alpha)
     gamma1 = math.gamma(1.0 - alpha)
+    span = x - c
+    dist = np.abs(span)
+    inside = dist < TERMINAL_GUARD
+    near = np.flatnonzero(inside)
+    if near.size and not crossing_guard:
+        i = near[0]
+        raise SingularTerminalError(
+            f"|x[{i}] - c[{i}]| = {dist[i]:.3e} is inside the terminal guard")
     g = np.empty(x.size)
-    for i in range(x.size):
-        span = x[i] - c[i]
-        dist = abs(span)
-        if dist < TERMINAL_GUARD:
-            if not crossing_guard:
-                raise SingularTerminalError(
-                    f"|x[{i}] - c[{i}]| = {dist:.3e} is inside the terminal guard"
-                )
-            h0 = spec.fd_step * max(1.0, abs(x[i]))
-            up, down, _ = _line_samples(f, x, i, np.array([x[i]]), np.array([h0]))
-            g[i] = (up[0] - down[0]) / (2.0 * h0)
-            continue
-        sign = 1.0 if span >= 0.0 else -1.0
-        lo, hi = (c[i], x[i]) if sign > 0.0 else (x[i], c[i])
-        ts = np.linspace(lo, hi, spec.node_count + 1)
+    if near.size:
+        h0 = spec.fd_step * np.maximum(1.0, np.abs(x[near]))
+        up, down, _ = _line_samples(f, x, near, x[near, None], h0[:, None])
+        g[near] = (up[:, 0] - down[:, 0]) / (2.0 * h0)
+    far = np.flatnonzero(~inside)
+    for start in range(0, far.size, LINE_GROUP):
+        ii = far[start:start + LINE_GROUP]
+        pos = span[ii] >= 0.0
+        sign = np.where(pos, 1.0, -1.0)
+        lo = np.where(pos, c[ii], x[ii])
+        hi = np.where(pos, x[ii], c[ii])
+        ts = np.linspace(lo, hi, spec.node_count + 1, axis=1)
         # mirrored orientation: sample the line so that node j sits at
         # distance (hi - ts[j]) from the singular endpoint
-        where = ts if sign > 0.0 else (hi + lo - ts)
+        where = np.where(pos[:, None], ts, (hi + lo)[:, None] - ts)
         h = spec.fd_step * np.maximum(1.0, np.abs(where))
-        up, down, mid = _line_samples(f, x, i, where, h)
+        up, down, mid = _line_samples(f, x, ii, where, h)
         d1 = (up - down) / (2.0 * h)
         d2 = (up - 2.0 * mid + down) / (h * h)
         w = _kernel_weights(ts, hi, alpha)
-        frac1 = sign * (w @ d1) / gamma1
-        frac2 = (w @ d2) / gamma1
-        normalizer = sign * dist ** (1.0 - alpha) / gamma2
-        g[i] = (frac1 + rho * dist * frac2) / normalizer
+        for r, i in enumerate(ii):
+            # per-line dots and scalar powers, as for a lone coordinate;
+            # the dots take fresh copies, since the BLAS dot of row views
+            # can round differently (it depends on operand alignment)
+            wr = w[r].copy()
+            frac1 = sign[r] * (wr @ d1[r].copy()) / gamma1
+            frac2 = (wr @ d2[r].copy()) / gamma1
+            normalizer = sign[r] * dist[i] ** (1.0 - alpha) / gamma2
+            g[i] = (frac1 + rho * dist[i] * frac2) / normalizer
     return g

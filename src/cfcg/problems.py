@@ -34,6 +34,10 @@ __all__ = [
 
 BENCHMARK_IDS = ("h1", "h2", "h3")
 
+#: most doubles in one (train_points x points) temporary of the MLP line
+#: evaluator, which keeps each under glibc's 128 KiB mmap threshold
+LINE_CHUNK = 12_000
+
 
 @dataclass(frozen=True)
 class Example1Config:
@@ -186,25 +190,38 @@ def mlp_objective(spec, target, data_seed):
         pred = np.tanh(np.outer(z, w) + b1) @ v + b2
         return float(np.mean((pred - tv) ** 2))
 
-    def eval_line(p, i, ts):
+    def eval_line(p, idx, ts):
+        # f(p with p[idx[m]] = ts[m]) for every point m; one hidden-layer
+        # pass for the call, then the points chunk by chunk per parameter
+        # block
         ts = np.asarray(ts, dtype=float)
+        idx = np.broadcast_to(np.asarray(idx), ts.shape)
         w, b1, v, b2 = p[:H], p[H:2 * H], p[2 * H:3 * H], p[3 * H]
         hid = np.tanh(np.outer(z, w) + b1)
-        base = hid @ v + b2
-        if i < H:
-            j = i
-            swept = np.tanh(np.outer(z, ts) + b1[j])
-            pred = base[:, None] + v[j] * (swept - hid[:, j][:, None])
-        elif i < 2 * H:
-            j = i - H
-            swept = np.tanh(z[:, None] * w[j] + ts[None, :])
-            pred = base[:, None] + v[j] * (swept - hid[:, j][:, None])
-        elif i < 3 * H:
-            j = i - 2 * H
-            pred = base[:, None] + (ts[None, :] - v[j]) * hid[:, j][:, None]
-        else:
-            pred = base[:, None] + (ts[None, :] - b2)
-        return np.mean((pred - tv[:, None]) ** 2, axis=0)
+        base = (hid @ v + b2)[:, None]
+        block = np.minimum(idx // H, 3)
+        width = max(3, LINE_CHUNK // z.size)
+        out = np.empty(ts.size)
+        for k in range(4):
+            sel = np.flatnonzero(block == k)
+            if not sel.size:
+                continue
+            # even chunks of at most width >= 3 points leave no lone
+            # column, whose mean would be summed pairwise, not row by row
+            for cols in np.array_split(sel, -(-sel.size // width)):
+                j, t = idx[cols] - k * H, ts[cols]
+                # a C-ordered gather keeps the mean's summation order
+                hj = np.take(hid, j, axis=1)
+                if k == 0:
+                    pred = base + v[j] * (np.tanh(np.outer(z, t) + b1[j]) - hj)
+                elif k == 1:
+                    pred = base + v[j] * (np.tanh(z[:, None] * w[j] + t) - hj)
+                elif k == 2:
+                    pred = base + (t - v[j]) * hj
+                else:
+                    pred = base + (t - b2)
+                out[cols] = np.mean((pred - tv[:, None]) ** 2, axis=0)
+        return out
 
     return Objective(fn, eval_line=eval_line,
                      name=f"mlp[{target},H={H},P={spec.train_points}]")

@@ -68,6 +68,11 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="2"):
             load_config(path)
 
+    def test_float_grid_with_empty_default(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("alpha_grid = 0.5,0.9\n")
+        assert load_config(path).alpha_grid == (0.5, 0.9)
+
     def test_bad_value_reports_field(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("max_iter = soon\n")
@@ -230,6 +235,28 @@ class TestExample2Runner:
         assert len(rows) == 4  # 2 alphas x (FR + CFSD)
         assert sorted({r.alpha for r in rows}) == [0.8, 0.9]
 
+    def test_alpha_grid_from_config_file(self, tmp_path):
+        path = tmp_path / "e2.cfg"
+        path.write_text("seed = 1\nhidden_units = 4\ntrain_points = 12\n"
+                        "trials = 1\ntargets = h2\nbeta_kinds = FR\n"
+                        "node_count = 12\nmax_iter = 40\n"
+                        "write_traces = false\nalpha_grid = 0.5,0.9\n")
+        rows = run_example2(load_config(path))
+        assert len(rows) == 4  # 2 alphas x (FR + CFSD)
+        assert sorted({r.alpha for r in rows}) == [0.5, 0.9]
+
+    def test_trial_seeds_follow_the_target(self, tmp_path):
+        # h2 on its own seeds its trial 0 as single --problem mlp-h2 does
+        config = dataclasses.replace(self.CONFIG, trials=1, beta_kinds=("FR",),
+                                     solvers=("CFCG",), write_traces=True)
+        run_example2(config, tmp_path / "e2")
+        run_single(dataclasses.replace(config, problem="mlp-h2", solver="CFCG",
+                                       beta="FR"), tmp_path / "s")
+        sweep = read_csv_rows(tmp_path / "e2" / "trace_example2_a0.9_h2_CFCGFR_t0.csv")
+        single = read_csv_rows(tmp_path / "s" / "trace_single.csv")
+        assert sweep[0] == single[0]
+        assert sweep == single
+
 
 class TestSingleRunner:
     def test_example1_single_and_trace(self, tmp_path):
@@ -323,6 +350,10 @@ class TestMainEntry:
                      id="m-differs-from-n"),
         pytest.param(["example1", "--config", "sd_step = 0\n"],
                      id="sd-step-nonpositive"),
+        pytest.param(["single", "--config", "format = xml\n"],
+                     id="format-unknown"),
+        pytest.param(["example2", "--config", "targets = h2,h9\n"],
+                     id="unknown-example2-target"),
     ])
     def test_bad_beta_flag(self, argv, tmp_path, capsys):
         if "--config" in argv:  # the value is the file's content

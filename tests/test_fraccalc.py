@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfcg.fraccalc import (FracParams, QuadratureSpec, SingularTerminalError,
                            caputo_deriv_1d, frac_gradient_general,
                            frac_gradient_quadratic, gamma_coeff, taylor_coeff)
+from cfcg.problems import MlpSpec, mlp_init, mlp_lower_terminal, mlp_objective
 
 
 def caputo_power_exact(x, power, alpha):
@@ -239,3 +242,58 @@ class TestGeneralGradient:
         spec = QuadratureSpec(node_count=16)
         with pytest.raises(ValueError):
             frac_gradient_general(lambda z: 0.0, np.ones(3), params, spec)
+
+    def test_guarded_coordinate_is_central_difference(self):
+        # near/far mix: x[1] sits on its terminal, the others do not
+        def f(z):
+            return float(np.sum(z**3) + z[0] * z[1] - np.sin(z[2]))
+
+        c = np.array([0.0, 0.3, -1.0])
+        x = np.array([1.2, 0.3, -1.7])
+        spec = QuadratureSpec(node_count=16, fd_step=1e-5)
+        got = frac_gradient_general(f, x, FracParams(0.8, 0.2, c), spec,
+                                    crossing_guard=True)
+        h = spec.fd_step * max(1.0, abs(x[1]))
+        up, down = x.copy(), x.copy()
+        up[1] += h
+        down[1] -= h
+        assert got[1] == (f(up) - f(down)) / (2.0 * h)
+        assert np.all(np.isfinite(got))
+
+    def test_line_evaluator_gives_the_plain_gradient(self):
+        # rho = 0 and a wide fd_step: the two evaluators round f
+        # differently in the last bit, and the inner differences divide
+        # that by h (by h*h in the rho term)
+        spec = MlpSpec(hidden_units=6, train_points=20, trials=1)
+        obj = mlp_objective(spec, "h2", data_seed=5)
+        params = FracParams(0.9, 0.0, mlp_lower_terminal(spec))
+        quad = QuadratureSpec(node_count=16, fd_step=1e-3)
+        for seed in range(3):
+            x = mlp_init(spec, seed)
+            batched = frac_gradient_general(obj, x, params, quad)
+            plain = frac_gradient_general(obj.eval_uncounted, x, params, quad)
+            assert np.max(np.abs(batched - plain)) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+       alpha=st.floats(0.05, 0.95), rho=st.floats(-1.0, 1.0),
+       node_count=st.integers(2, 16))
+def test_quadrature_exact_on_quadratics(seed, n, alpha, rho, node_count):
+    # f is quadratic along every coordinate line, so the product-trapezoid
+    # rule is exact; what is left is the roundoff of the inner differences
+    rng = np.random.default_rng(seed)
+    A = unit_diag_spd(rng, n)
+    b = rng.uniform(-1.0, 1.0, n)
+    c = rng.uniform(-1.0, 1.0, n)
+    # both signs of x - c in one call
+    signs = rng.permutation(np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
+    x = c + signs * rng.uniform(0.05, 1.5, n)
+    params = FracParams(alpha, rho, c)
+
+    def f(z):
+        return 0.5 * float(z @ A @ z) + float(b @ z)
+
+    got = frac_gradient_general(f, x, params, QuadratureSpec(node_count))
+    want = frac_gradient_quadratic(A, b, x, params)
+    assert np.all(np.abs(got - want) <= 1e-4 * np.maximum(np.abs(want), 1.0))

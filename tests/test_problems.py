@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cfcg.fraccalc import FracParams
-from cfcg.problems import (BENCHMARK_IDS, Example1Config, MlpSpec,
-                           benchmark_fn, gen_example1, mlp_init,
+from cfcg.problems import (BENCHMARK_IDS, LINE_CHUNK, Example1Config,
+                           MlpSpec, benchmark_fn, gen_example1, mlp_init,
                            mlp_lower_terminal, mlp_objective,
                            mlp_param_bounds, stacked_problem,
                            tikhonov_run_objective)
@@ -161,15 +161,25 @@ class TestMlpObjective:
         p = mlp_init(self.SPEC, 7)
         H = self.SPEC.hidden_units
         ts = rng.uniform(-2.0, 2.0, 13)
-        # one coordinate from each parameter block
-        for i in (0, H - 1, H, 2 * H - 1, 2 * H, 3 * H - 1, 3 * H):
-            fast = obj.eval_line(p, i, ts)
+        # one coordinate from each parameter block, by a scalar index
+        calls = [(i, ts) for i in (0, H - 1, H, 2 * H - 1, 2 * H, 3 * H - 1, 3 * H)]
+        # and one call mixing all four blocks, each with more points than
+        # one internal chunk
+        width = LINE_CHUNK // self.SPEC.train_points
+        idx = rng.integers(0, p.size, 4 * p.size * width // 3)
+        assert np.all(np.bincount(np.minimum(idx // H, 3)) > width)
+        calls.append((idx, rng.uniform(-2.0, 2.0, idx.size)))
+        for i, pts in calls:
+            fast = obj.eval_line(p, i, pts)
             slow = []
-            for t in ts:
+            for j, t in zip(np.broadcast_to(i, pts.shape), pts):
                 q = p.copy()
-                q[i] = t
+                q[j] = t
                 slow.append(obj.eval_uncounted(q))
             assert np.allclose(fast, slow, rtol=1e-12, atol=1e-14)
+        # a point's value does not depend on what it is batched with
+        for i in np.unique(idx):
+            assert np.array_equal(obj.eval_line(p, i, pts[idx == i]), fast[idx == i])
 
     def test_fd_gradient_matches_backprop(self):
         obj = mlp_objective(self.SPEC, "h2", data_seed=8)
