@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 ALL_KINDS = tuple(k.value for k in BetaKind)
+SOLVERS = ("CFCG", "CFSD")
 OUTPUT_FORMATS = ("csv", "json")
 
 
@@ -60,7 +61,7 @@ class ExperimentConfig:
     alpha_grid: tuple[float, ...] = ()
     rho: float = 0.1
     gamma_grid: tuple[float, ...] = (0.5, 0.75, 1.0, 2.0, 3.0, 4.0)
-    solvers: tuple[str, ...] = ("CFCG", "CFSD")
+    solvers: tuple[str, ...] = SOLVERS
     grad_tol: float = 1e-4
     max_iter: int = 2000
     c1: float = 1e-4
@@ -214,21 +215,21 @@ def write_rows(rows, path, fmt):
 
 TRACE_COLUMNS = ("k", "f", "grad_norm", "step", "beta", "descent_inner",
                  "cos_theta", "restarted", "dist_to_ref")
+# one trace row as csv.writer writes it from _fmt's fields: no field needs
+# quoting, and rows end in \r\n
+_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%s\r\n"
 
 
 def write_trace_csv(trace, path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for rec in trace:
-            writer.writerow([
-                rec.k, _fmt(rec.f_value), _fmt(rec.grad_norm), _fmt(rec.step),
-                _fmt(rec.beta), _fmt(rec.descent_inner), _fmt(rec.cos_theta),
-                int(rec.restarted),
-                "" if rec.dist_to_reference is None else _fmt(rec.dist_to_reference),
-            ])
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        fh.writelines(_TRACE_ROW % (
+            rec.k, rec.f_value, rec.grad_norm, rec.step, rec.beta,
+            rec.descent_inner, rec.cos_theta, rec.restarted,
+            "" if rec.dist_to_reference is None else "%.17g" % rec.dist_to_reference,
+        ) for rec in trace)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +449,7 @@ def _build_parser():
         if name == "single":
             p.add_argument("--problem", type=str, default=None)
             p.add_argument("--solver", type=str, default=None,
-                           choices=("CFCG", "CFSD"))
+                           choices=SOLVERS)
     return parser
 
 
@@ -465,9 +466,6 @@ def _apply_overrides(config, args, command):
             updates[name] = getattr(args, flag)
     if args.beta is not None:
         kinds = tuple(k.strip().upper() for k in args.beta.split(","))
-        bad = [k for k in kinds if k not in ALL_KINDS]
-        if bad:
-            raise ConfigError(f"unknown beta kind(s): {', '.join(bad)}")
         updates["beta_kinds"] = kinds
         updates["beta"] = kinds[0]
     if args.gamma is not None:
@@ -480,12 +478,37 @@ def _apply_overrides(config, args, command):
     return dataclasses.replace(config, **updates)
 
 
+def _check_config(config):
+    """Build every solver setting the config describes once, so a bad value
+    is a ConfigError before any cell runs instead of a traceback or a row
+    of Error(ValueError) per cell."""
+    for what, names, known in (
+            ("beta kind", config.beta_kinds + (config.beta,), ALL_KINDS),
+            ("solver", config.solvers + (config.solver,), SOLVERS)):
+        bad = [name for name in names if name not in known]
+        if bad:
+            raise ConfigError(f"unknown {what}(s): {', '.join(bad)}")
+    try:
+        config.line_search()
+        config.quad_spec()
+        StopCriteria(config.grad_tol, config.max_iter, config.f_decrease_tol)
+        FixedStep(config.sd_step)
+        GridStep(config.sd_grid)
+        MlpSpec(hidden_units=config.hidden_units,
+                train_points=config.train_points, trials=config.trials)
+        for alpha in config.alpha_grid + (config.alpha,):
+            FracParams(alpha, config.rho, ())
+    except ValueError as exc:
+        raise ConfigError(exc) from exc
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config) if args.config else ExperimentConfig()
         config = _apply_overrides(config, args, args.command)
+        _check_config(config)
         out_dir = Path(config.out)
         if args.command == "example1":
             rows = run_example1(config, out_dir)

@@ -309,6 +309,12 @@ def _gradient_evaluator(f, frac, quad):
     return grad
 
 
+def _norm(v):
+    """Euclidean norm of a 1-D float array: what np.linalg.norm computes
+    for one (sqrt of v.dot(v)), without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     """The one iteration loop behind both solvers.
 
@@ -318,7 +324,8 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     and the lowest trial value kept; a FixedStep is the one-entry grid,
     and its run also stops after DIVERGENCE_STREAK consecutive objective
     increases.  Every step evaluates the gradient once, at the accepted
-    point.
+    point.  A run whose f or gradient norm at the current point is not
+    finite stops there with MaxIter and stop reason "non-finite".
     """
     stop = stop or StopCriteria()
     grad = _gradient_evaluator(f, frac, quad)
@@ -342,11 +349,14 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     steps = [] if keep_search else None
 
     def dist(z):
-        return float(np.linalg.norm(z - reference)) if reference is not None else None
+        return _norm(z - reference) if reference is not None else None
 
     status, reason, k = RunStatus.MAX_ITER, "max_iter", 0
     for k in range(stop.max_iter):
-        gn = float(np.linalg.norm(g))
+        gn = _norm(g)
+        if not (math.isfinite(f_x) and math.isfinite(gn)):
+            status, reason = RunStatus.MAX_ITER, "non-finite"
+            break
         if gn < stop.grad_tol:
             status, reason = RunStatus.CONVERGED, "grad_tol"
             break
@@ -370,7 +380,7 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
                 if restarted:
                     beta = 0.0
             descent_inner = float(g @ d)
-            cos_theta = -descent_inner / (gn * float(np.linalg.norm(d)))
+            cos_theta = -descent_inner / (gn * _norm(d))
 
         if search:
             try:
@@ -398,8 +408,8 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
             steps.append(eta)
 
         if kind is not None:
-            displacement = eta * float(np.linalg.norm(d))
-            force_restart = (displacement < STALL_DISPLACEMENT * (1.0 + float(np.linalg.norm(x)))
+            displacement = eta * _norm(d)
+            force_restart = (displacement < STALL_DISPLACEMENT * (1.0 + _norm(x))
                              or trials >= STALL_TRIALS)
             g_prev, d_prev = g, d
         if fixed:
@@ -415,7 +425,7 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     else:
         k = stop.max_iter
 
-    gn = float(np.linalg.norm(g))
+    gn = _norm(g)
     trace.append(IterRecord(k, f_x, gn, math.nan, math.nan, math.nan,
                             math.nan, False, dist(x)))
     return RunReport(status, reason, k, f.objective_evals,

@@ -155,8 +155,12 @@ def frac_gradient_quadratic(A, b, x, params):
             f"dimension mismatch: A {A.shape}, b {b.shape}, x {x.shape}, "
             f"c {params.c.shape}"
         )
-    diag = np.diag(A)
-    if np.any(diag < 0.0):
+    # a view and one reduction: np.diag copies and np.any dispatches, which
+    # together cost as much as the arithmetic below at n = 100.  fmin skips
+    # nan, so a negative entry beside a nan is still caught; it has no
+    # identity, so the empty case is left out
+    diag = A.diagonal()
+    if n and np.fmin.reduce(diag) < 0.0:
         raise ValueError("A has a negative diagonal entry; Rbar is undefined")
     rbar = np.sqrt(diag)
     return A @ x + b + params.gamma * rbar * (x - params.c)

@@ -10,8 +10,9 @@ import pytest
 from cfcg.cli import (ConfigError, ExperimentConfig, ResultRow, load_config,
                       main, run_example1, run_example2, run_single,
                       save_config, write_rows, write_trace_csv, TRACE_COLUMNS,
-                      _example1_instance, _run_cell, _tikhonov_problem)
-from cfcg.engine import LineSearchParams, RunStatus, StopCriteria, cfcg_minimize
+                      _example1_instance, _fmt, _run_cell, _tikhonov_problem)
+from cfcg.engine import (IterRecord, LineSearchParams, RunStatus,
+                         StopCriteria, cfcg_minimize)
 from cfcg.fraccalc import FracParams
 from cfcg.problems import Example1Config, gen_example1, tikhonov_run_objective
 
@@ -116,6 +117,32 @@ class TestSerialization:
                 if key == "wall_ms":
                     continue
                 assert g[key] == w[key], f"column {key}"
+
+    def test_trace_bytes_match_csv_writer(self, tmp_path):
+        # the values the golden traces never hold: non-finite, signed zero,
+        # subnormal, an int step, a restart and a missing distance
+        trace = [
+            IterRecord(0, math.nan, math.inf, 1, -0.0, -math.inf, 5e-324,
+                       True, None),
+            IterRecord(1, 0.1, 2.0 / 3.0, 0.5, 1e300, -1e-300, 0.0, False,
+                       1.0),
+            IterRecord(2, -0.0, 0.0, math.nan, math.nan, math.nan, math.nan,
+                       False, math.nan),
+        ]
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TRACE_COLUMNS)
+            for rec in trace:
+                writer.writerow([
+                    rec.k, _fmt(rec.f_value), _fmt(rec.grad_norm),
+                    _fmt(rec.step), _fmt(rec.beta), _fmt(rec.descent_inner),
+                    _fmt(rec.cos_theta), int(rec.restarted),
+                    "" if rec.dist_to_reference is None
+                    else _fmt(rec.dist_to_reference)])
+        got = tmp_path / "got.csv"
+        write_trace_csv(trace, got)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_trace_float_precision_round_trips(self, tmp_path):
         config = TINY
@@ -354,6 +381,20 @@ class TestMainEntry:
                      id="format-unknown"),
         pytest.param(["example2", "--config", "targets = h2,h9\n"],
                      id="unknown-example2-target"),
+        pytest.param(["example2", "--config", "trials = 0\n"], id="trials-zero"),
+        pytest.param(["example2", "--config", "sd_grid = 0.01,0\n"],
+                     id="sd-grid-nonpositive"),
+        pytest.param(["example2", "--config", "node_count = 1\n"],
+                     id="node-count-one"),
+        pytest.param(["single", "--problem", "mlp-h1", "--config",
+                      "fd_step = 0\n"], id="fd-step-zero"),
+        pytest.param(["example1", "--alpha", "1.5"], id="alpha-above-one"),
+        pytest.param(["example1", "--max-iter", "0"], id="max-iter-zero"),
+        pytest.param(["example1", "--tol", "-1"], id="tol-negative"),
+        pytest.param(["example1", "--config", "beta_kinds = FR,XX\n"],
+                     id="config-beta-unknown"),
+        pytest.param(["example1", "--config", "solvers = CFCG,SD\n"],
+                     id="solver-unknown"),
     ])
     def test_bad_beta_flag(self, argv, tmp_path, capsys):
         if "--config" in argv:  # the value is the file's content

@@ -390,6 +390,41 @@ class TestCfsd:
             GridStep((0.1, -0.2))
 
 
+@pytest.mark.parametrize("solve", [
+    lambda obj, x0, frac: cfcg_minimize(obj, x0, frac, "FR"),
+    lambda obj, x0, frac: cfsd_minimize(obj, x0, frac, FixedStep(0.1)),
+], ids=["CFCG", "CFSD"])
+def test_non_finite_start_stops_at_once(solve):
+    # before the guard CFCG spent 60 line-search trials and CFSD all of
+    # max_iter on a nan start
+    frac = classical_params(2)
+    obj, _, _ = quadratic_objective(np.eye(2), -np.ones(2), frac)
+    rep = solve(obj, np.array([np.nan, 1.0]), frac)
+    assert rep.status is RunStatus.MAX_ITER
+    assert rep.stop_reason == "non-finite"
+    assert rep.iterations == 0
+    assert rep.objective_evals == 1
+    assert rep.gradient_evals == 1
+    assert len(rep.trace) == 1 and rep.trace[0].is_terminal
+
+
+def test_non_finite_mid_run_stops_before_divergence_streak():
+    # the fixed step multiplies x by about 1e100: at the second point f is
+    # 1e200 and still finite, but the gradient norm overflows
+    obj = Objective(lambda x: 0.5 * float(x @ x),
+                    frac_gradient=lambda x: -1e100 * np.asarray(x))
+    frac = classical_params(2)
+    with np.errstate(over="ignore"):
+        rep = cfsd_minimize(obj, np.ones(2), frac, FixedStep(1.0),
+                            stop=StopCriteria(1e-8, 10000))
+    assert rep.status is RunStatus.MAX_ITER
+    assert rep.stop_reason == "non-finite"
+    assert rep.iterations == 1
+    assert rep.objective_evals == 2
+    assert math.isfinite(rep.trace[-1].f_value)
+    assert rep.final_grad_norm == math.inf
+
+
 class TestObjectiveCounters:
     def test_eval_counts_one_per_call(self):
         obj = Objective(lambda x: float(np.sum(x)))

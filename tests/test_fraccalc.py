@@ -154,14 +154,35 @@ class TestQuadraticGradient:
 
     def test_dimension_mismatch(self):
         params = FracParams(0.9, 0.1, np.zeros(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension mismatch"):
             frac_gradient_quadratic(np.eye(2), np.zeros(2), np.zeros(2), params)
 
     def test_negative_diagonal(self):
         params = FracParams(0.9, 0.1, np.zeros(2))
         A = np.array([[-1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative diagonal"):
             frac_gradient_quadratic(A, np.zeros(2), np.ones(2), params)
+
+    def test_negative_diagonal_beside_nan(self):
+        # a minimum that propagates nan would let the negative entry through
+        params = FracParams(0.9, 0.1, np.zeros(2))
+        A = np.diag([np.nan, -1.0])
+        with pytest.raises(ValueError, match="negative diagonal"):
+            frac_gradient_quadratic(A, np.zeros(2), np.ones(2), params)
+
+    def test_empty(self):
+        params = FracParams(0.9, 0.1, np.zeros(0))
+        got = frac_gradient_quadratic(np.zeros((0, 0)), np.zeros(0),
+                                      np.zeros(0), params)
+        assert got.shape == (0,)
+
+    def test_matches_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        A = unit_diag_spd(rng, 7) * rng.uniform(0.5, 2.0)
+        b, x, c = rng.normal(size=(3, 7))
+        params = FracParams(0.7, 0.3, c)
+        want = A @ x + b + params.gamma * np.sqrt(np.diag(A)) * (x - c)
+        assert np.array_equal(frac_gradient_quadratic(A, b, x, params), want)
 
 
 class TestGeneralGradient:
