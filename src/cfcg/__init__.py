@@ -5,9 +5,9 @@ from .engine import (BetaKind, DenominatorUnderflow, FixedStep, GridStep,
                      RunReport, RunStatus, StopCriteria, armijo_wolfe_search,
                      beta_value, cfcg_minimize, cfsd_minimize, direction,
                      recheck_armijo_wolfe)
-from .fraccalc import (FracParams, QuadratureSpec, SingularTerminalError,
-                       caputo_deriv_1d, frac_gradient_general,
-                       frac_gradient_quadratic, gamma_coeff, taylor_coeff)
+from .fraccalc import (FracParams, QuadratureSpec, caputo_deriv_1d,
+                       frac_gradient_general, frac_gradient_quadratic,
+                       gamma_coeff, taylor_coeff)
 from .problems import (Example1Config, MlpSpec, benchmark_fn, gen_example1,
                        mlp_init, mlp_lower_terminal, mlp_objective,
                        stacked_problem, tikhonov_run_objective)
@@ -23,7 +23,7 @@ __all__ = [
     "FixedStep", "FracParams", "GridStep", "IterRecord", "LeastSquaresProblem",
     "LineSearchError", "LineSearchParams", "MlpSpec", "Objective",
     "QuadratureSpec", "RunReport", "RunStatus", "SingularSystemError",
-    "SingularTerminalError", "StopCriteria", "abar_matrix",
+    "StopCriteria", "abar_matrix",
     "armijo_wolfe_search", "benchmark_fn", "beta_value", "build_quadratic",
     "caputo_deriv_1d", "cfcg_minimize", "cfsd_minimize", "check_Abar_pd",
     "direction", "frac_gradient_general", "frac_gradient_quadratic",

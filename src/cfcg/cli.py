@@ -118,6 +118,7 @@ class ResultRow:
 
 
 ResultRow.FIELDS = tuple(f.name for f in dataclasses.fields(ResultRow))
+_FIELD_KINDS = typing.get_type_hints(ExperimentConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,6 @@ class ConfigError(ValueError):
 
 
 def load_config(path):
-    kinds = typing.get_type_hints(ExperimentConfig)
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -167,10 +167,10 @@ def load_config(path):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip()
-        if key not in kinds:
+        if key not in _FIELD_KINDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _parse_value(text, kinds[key])
+            values[key] = _parse_value(text, _FIELD_KINDS[key])
             if key == "format" and values[key] not in OUTPUT_FORMATS:
                 raise ValueError(f"unknown output format {values[key]!r}")
         except ValueError as exc:
@@ -317,6 +317,7 @@ def _example1_cell(config, setup, solver, beta, out_dir=None, trace_name=None):
 
 def run_example1(config, out_dir=None):
     """Sweep gamma grid x beta kinds x solvers on one seeded instance."""
+    _check_config(config)
     prob, x0, frac = _example1_instance(config, config.gamma_grid)
     rows = []
     for gamma in config.gamma_grid:
@@ -375,6 +376,7 @@ def _mean_row(reports, walls, config, solver, beta, alpha, target, step_param):
 
 def run_example2(config, out_dir=None):
     """Network-training comparison; one mean row per (alpha, target, solver/beta)."""
+    _check_config(config)
     bad = [t for t in config.targets if t not in BENCHMARK_IDS]
     if bad:
         raise ConfigError(f"unknown target(s): {', '.join(bad)}")
@@ -402,6 +404,7 @@ def run_example2(config, out_dir=None):
 
 def run_single(config, out_dir=None):
     """One problem, one solver, one beta; returns (row, report)."""
+    _check_config(config)
     target = config.problem[4:] if config.problem.startswith("mlp-") else ""
     if config.problem == "example1":
         prob, x0, frac = _example1_instance(config, (config.gamma,))
@@ -425,6 +428,7 @@ def run_single(config, out_dir=None):
 # entry point
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="cfcg-bench",
@@ -479,9 +483,9 @@ def _apply_overrides(config, args, command):
 
 
 def _check_config(config):
-    """Build every solver setting the config describes once, so a bad value
-    is a ConfigError before any cell runs instead of a traceback or a row
-    of Error(ValueError) per cell."""
+    """Build every solver setting the config describes once.  Each runner
+    calls this first, so a bad value is a ConfigError before any cell runs,
+    not a traceback or a row of Error(ValueError) per cell."""
     for what, names, known in (
             ("beta kind", config.beta_kinds + (config.beta,), ALL_KINDS),
             ("solver", config.solvers + (config.solver,), SOLVERS)):
@@ -508,7 +512,6 @@ def main(argv=None):
     try:
         config = load_config(args.config) if args.config else ExperimentConfig()
         config = _apply_overrides(config, args, args.command)
-        _check_config(config)
         out_dir = Path(config.out)
         if args.command == "example1":
             rows = run_example1(config, out_dir)

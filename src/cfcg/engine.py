@@ -305,7 +305,7 @@ def _gradient_evaluator(f, frac, quad):
         f.gradient_evals += 1
         if hook is not None:
             return np.asarray(hook(x), dtype=float)
-        return frac_gradient_general(f, x, frac, quad, crossing_guard=True)
+        return frac_gradient_general(f, x, frac, quad)
     return grad
 
 

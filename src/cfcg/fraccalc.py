@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "FracParams",
     "QuadratureSpec",
-    "SingularTerminalError",
     "gamma_coeff",
     "taylor_coeff",
     "caputo_deriv_1d",
@@ -24,18 +23,10 @@ __all__ = [
     "frac_gradient_general",
 ]
 
-#: below this separation the coordinate normalizer (x_i - c_i)^(1-alpha)
-#: is considered singular
-TERMINAL_GUARD = 1e-8
-
 #: coordinate lines sampled per line evaluation; at node_count 32 (the
 #: CLI default) a group's sample arrays stay under glibc's 128 KiB mmap
 #: threshold
 LINE_GROUP = 32
-
-
-class SingularTerminalError(ValueError):
-    """Some |x_i - c_i| is below the terminal guard."""
 
 
 def _check_alpha(alpha):
@@ -99,25 +90,28 @@ def taylor_coeff(alpha, rho):
     return 1.0 / (2.0 - alpha) + rho
 
 
-def _kernel_weights(ts, x, alpha):
-    """Per-node weights of the product-trapezoid rule on [ts[r, 0], x[r]],
-    one row r per line.
+def _unit_rule(alpha, node_count):
+    """Nodes s_j = j/N on [0, 1] and the product-trapezoid weights of the
+    kernel (1-alpha)(1-s)^(-alpha) there, which sum to one.
 
-    The integrand is k(t) * p(t) with k(t) = (x - t)^(-alpha) and p the
-    piecewise-linear interpolant of the sampled integrand values; k is
-    integrated exactly on every subinterval, so the singular last cell
-    needs no special casing.
+    The integrand is the kernel times the piecewise-linear interpolant of
+    the sampled values; the kernel is integrated exactly on every
+    subinterval, so the singular last cell needs no special casing and
+    the rule is exact whenever the sampled function is linear.  On
+    [a, x] the kernel (x-t)^(-alpha) has the same weights times
+    (x-a)^(1-alpha)/(1-alpha), so one vector serves every interval.
     """
     om = 1.0 - alpha
-    a_dist = x[:, None] - ts[:, :-1]
-    b_dist = x[:, None] - ts[:, 1:]
-    i0 = (a_dist**om - b_dist**om) / om
-    i1 = a_dist * i0 - (a_dist ** (om + 1.0) - b_dist ** (om + 1.0)) / (om + 1.0)
-    h = ts[:, 1:2] - ts[:, 0:1]
-    w = np.zeros_like(ts)
-    w[:, :-1] += i0 - i1 / h
-    w[:, 1:] += i1 / h
-    return w
+    s = np.arange(node_count + 1) / node_count
+    a_dist = 1.0 - s[:-1]
+    b_dist = 1.0 - s[1:]
+    # (1-alpha) times each cell's zeroth kernel moment and first moment / h
+    m0 = a_dist**om - b_dist**om
+    m1 = (a_dist * m0 - om * (a_dist ** (om + 1.0) - b_dist ** (om + 1.0))
+          / (om + 1.0)) * node_count
+    w = np.append(m0 - m1, 0.0)
+    w[1:] += m1
+    return s, w
 
 
 def caputo_deriv_1d(derivative_sampler, a, x, alpha, spec):
@@ -133,10 +127,10 @@ def caputo_deriv_1d(derivative_sampler, a, x, alpha, spec):
         raise ValueError(f"lower terminal {a} exceeds evaluation point {x}")
     if a == x:
         return 0.0
-    ts = np.linspace(a, x, spec.node_count + 1)
-    vals = np.asarray([derivative_sampler(t) for t in ts], dtype=float)
-    w = _kernel_weights(ts[None, :], np.array([x], dtype=float), alpha)[0]
-    return float(w @ vals) / math.gamma(1.0 - alpha)
+    s, w = _unit_rule(alpha, spec.node_count)
+    vals = np.asarray([derivative_sampler(t) for t in a + (x - a) * s],
+                      dtype=float)
+    return (x - a) ** (1.0 - alpha) * float(w @ vals) / math.gamma(2.0 - alpha)
 
 
 def frac_gradient_quadratic(A, b, x, params):
@@ -192,72 +186,43 @@ def _line_samples(f, x, ii, where, h):
     return out[:, 0], out[:, 1], out[:, 2]
 
 
-def frac_gradient_general(f, x, params, spec, crossing_guard=False):
+def frac_gradient_general(f, x, params, spec):
     """Fractional gradient by singular-kernel quadrature along every
     coordinate line.
 
     Coordinate i is
-        [ D^alpha f + rho |x_i - c_i| D^(1+alpha) f ] / D^alpha I,
-    with D^alpha I = (x_i - c_i)^(1-alpha) / Gamma(2-alpha) and the inner
-    integer-order derivatives taken by central differences.  For
-    x_i < c_i the integral runs over [x_i, c_i] with the kernel singular
-    at x_i; the odd-order term picks up a sign, the even-order one does
-    not, which keeps the classical limit correct on both sides.
+        [ D^alpha f + rho |x_i - c_i| D^(1+alpha) f ] / D^alpha I
+    on the interval between c_i and x_i, with the kernel singular at x_i
+    and the inner integer-order derivatives taken by central differences.
+    The product-trapezoid weights on that interval are
+    |x_i - c_i|^(1-alpha) times one fixed vector, and D^alpha I cancels
+    them exactly, so the value is a weighted mean along the line,
+        sum_j w_j [ f'(t_j) + rho (x_i - c_i) f''(t_j) ],
+    with weights that sum to one and t_j running from c_i to x_i.  The
+    form holds for either sign of x_i - c_i and is continuous at
+    x_i = c_i, where every node is x_i and the value is the classical
+    central difference.
 
     The lines are sampled in groups of ``LINE_GROUP`` coordinates, one
     line evaluation per group, so an objective with a vectorized
-    ``eval_line`` shares its work across the group; each coordinate's
-    value is bit-for-bit what it would be on its own.
-
-    With ``crossing_guard`` a coordinate inside the terminal guard falls
-    back to its classical central-difference partial (the limit of the
-    normalized formula as x_i approaches c_i) instead of raising; solvers
-    use this so that an iterate brushing past a terminal does not abort
-    the run.
+    ``eval_line`` shares its work across the group.  Each coordinate's
+    sum is a row-wise reduction of its own samples, so its value does not
+    depend on the group it is in.
     """
     x = np.asarray(x, dtype=float)
     c = params.c
     if x.shape != c.shape:
         raise ValueError(f"x has shape {x.shape} but c has shape {c.shape}")
-    alpha, rho = params.alpha, params.rho
-    gamma2 = math.gamma(2.0 - alpha)
-    gamma1 = math.gamma(1.0 - alpha)
+    s, w = _unit_rule(params.alpha, spec.node_count)
     span = x - c
-    dist = np.abs(span)
-    inside = dist < TERMINAL_GUARD
-    near = np.flatnonzero(inside)
-    if near.size and not crossing_guard:
-        i = near[0]
-        raise SingularTerminalError(
-            f"|x[{i}] - c[{i}]| = {dist[i]:.3e} is inside the terminal guard")
     g = np.empty(x.size)
-    if near.size:
-        h0 = spec.fd_step * np.maximum(1.0, np.abs(x[near]))
-        up, down, _ = _line_samples(f, x, near, x[near, None], h0[:, None])
-        g[near] = (up[:, 0] - down[:, 0]) / (2.0 * h0)
-    far = np.flatnonzero(~inside)
-    for start in range(0, far.size, LINE_GROUP):
-        ii = far[start:start + LINE_GROUP]
-        pos = span[ii] >= 0.0
-        sign = np.where(pos, 1.0, -1.0)
-        lo = np.where(pos, c[ii], x[ii])
-        hi = np.where(pos, x[ii], c[ii])
-        ts = np.linspace(lo, hi, spec.node_count + 1, axis=1)
-        # mirrored orientation: sample the line so that node j sits at
-        # distance (hi - ts[j]) from the singular endpoint
-        where = np.where(pos[:, None], ts, (hi + lo)[:, None] - ts)
+    for start in range(0, x.size, LINE_GROUP):
+        ii = np.arange(start, min(start + LINE_GROUP, x.size))
+        # node 0 is c_i and node N is x_i itself
+        where = x[ii, None] - span[ii, None] * (1.0 - s)
         h = spec.fd_step * np.maximum(1.0, np.abs(where))
         up, down, mid = _line_samples(f, x, ii, where, h)
         d1 = (up - down) / (2.0 * h)
         d2 = (up - 2.0 * mid + down) / (h * h)
-        w = _kernel_weights(ts, hi, alpha)
-        for r, i in enumerate(ii):
-            # per-line dots and scalar powers, as for a lone coordinate;
-            # the dots take fresh copies, since the BLAS dot of row views
-            # can round differently (it depends on operand alignment)
-            wr = w[r].copy()
-            frac1 = sign[r] * (wr @ d1[r].copy()) / gamma1
-            frac2 = (wr @ d2[r].copy()) / gamma1
-            normalizer = sign[r] * dist[i] ** (1.0 - alpha) / gamma2
-            g[i] = (frac1 + rho * dist[i] * frac2) / normalizer
+        g[ii] = ((d1 + params.rho * span[ii, None] * d2) * w).sum(axis=1)
     return g

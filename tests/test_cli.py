@@ -333,6 +333,18 @@ class TestSingleRunner:
             run_single(config)
 
 
+@pytest.mark.parametrize("runner, config", [
+    (run_example1, dataclasses.replace(TINY, solvers=("SD",))),
+    (run_example2, dataclasses.replace(TestExample2Runner.CONFIG, trials=0)),
+    (run_single, dataclasses.replace(TINY, problem="example1", solver="SD")),
+], ids=["example1-solver-unknown", "example2-trials-zero",
+        "single-solver-unknown"])
+def test_runner_checks_its_config(runner, config):
+    # called from Python, not through main
+    with pytest.raises(ConfigError):
+        runner(config)
+
+
 class TestMainEntry:
     def test_single_exit_zero_on_convergence(self, tmp_path, capsys):
         code = main(["single", "--seed", "7", "--out", str(tmp_path / "o"),

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfcg.fraccalc import (FracParams, QuadratureSpec, SingularTerminalError,
+from cfcg import fraccalc
+from cfcg.fraccalc import (FracParams, QuadratureSpec, _unit_rule,
                            caputo_deriv_1d, frac_gradient_general,
                            frac_gradient_quadratic, gamma_coeff, taylor_coeff)
 from cfcg.problems import MlpSpec, mlp_init, mlp_lower_terminal, mlp_objective
@@ -247,16 +248,26 @@ class TestGeneralGradient:
         rel = np.linalg.norm(general - closed) / np.linalg.norm(closed)
         assert rel <= 1e-3
 
-    def test_singular_terminal_raises(self):
-        params = FracParams(0.9, 0.1, np.zeros(2))
-        spec = QuadratureSpec(node_count=16)
-        x = np.array([1.0, 0.0])  # x[1] sits on the terminal
-        with pytest.raises(SingularTerminalError):
-            frac_gradient_general(lambda z: float(z @ z), x, params, spec)
-        # with the crossing guard the call degrades gracefully instead
-        out = frac_gradient_general(lambda z: float(z @ z), x, params, spec,
-                                    crossing_guard=True)
-        assert np.all(np.isfinite(out))
+    @staticmethod
+    def mixed_cubic(z):
+        return float(np.sum(z**3) + z[0] * z[1] - np.sin(z[2]))
+
+    def test_continuous_at_the_terminal(self):
+        # as x[1] - c[1] -> 0 from either side the value approaches the one
+        # on the terminal (the central difference, pinned below) linearly,
+        # down to that difference's roundoff (about eps |f| / fd_step)
+        f = self.mixed_cubic
+        c = np.array([0.0, 0.3, -1.0])
+        x = np.array([1.2, 0.3, -1.7])
+        params = FracParams(0.8, 0.2, c)
+        spec = QuadratureSpec(node_count=16, fd_step=1e-5)
+        at = frac_gradient_general(f, x, params, spec)[1]
+        for delta in 10.0 ** -np.arange(3, 13):
+            for side in (1.0, -1.0):
+                x[1] = c[1] + side * delta
+                got = frac_gradient_general(f, x, params, spec)[1]
+                # slope: f'' on [c, x] times (1 + rho), about 1.9 here
+                assert abs(got - at) <= 3.0 * delta + 1e-10
 
     def test_shape_mismatch(self):
         params = FracParams(0.9, 0.1, np.zeros(2))
@@ -265,20 +276,18 @@ class TestGeneralGradient:
             frac_gradient_general(lambda z: 0.0, np.ones(3), params, spec)
 
     def test_guarded_coordinate_is_central_difference(self):
-        # near/far mix: x[1] sits on its terminal, the others do not
-        def f(z):
-            return float(np.sum(z**3) + z[0] * z[1] - np.sin(z[2]))
-
+        # x[1] sits on its terminal, the others do not
+        f = self.mixed_cubic
         c = np.array([0.0, 0.3, -1.0])
         x = np.array([1.2, 0.3, -1.7])
         spec = QuadratureSpec(node_count=16, fd_step=1e-5)
-        got = frac_gradient_general(f, x, FracParams(0.8, 0.2, c), spec,
-                                    crossing_guard=True)
+        got = frac_gradient_general(f, x, FracParams(0.8, 0.2, c), spec)
         h = spec.fd_step * max(1.0, abs(x[1]))
         up, down = x.copy(), x.copy()
         up[1] += h
         down[1] -= h
-        assert got[1] == (f(up) - f(down)) / (2.0 * h)
+        # the weights sum to one up to rounding
+        assert got[1] == pytest.approx((f(up) - f(down)) / (2.0 * h), rel=1e-15)
         assert np.all(np.isfinite(got))
 
     def test_line_evaluator_gives_the_plain_gradient(self):
@@ -294,6 +303,17 @@ class TestGeneralGradient:
             batched = frac_gradient_general(obj, x, params, quad)
             plain = frac_gradient_general(obj.eval_uncounted, x, params, quad)
             assert np.max(np.abs(batched - plain)) <= 1e-12
+
+    @pytest.mark.parametrize("group", [1, 7, 181])
+    def test_value_does_not_depend_on_the_group(self, group, monkeypatch):
+        spec = MlpSpec(hidden_units=60, train_points=50, trials=1)
+        obj = mlp_objective(spec, "h1", data_seed=3)
+        params = FracParams(0.9, 0.1, mlp_lower_terminal(spec))
+        quad = QuadratureSpec(node_count=32)
+        x = mlp_init(spec, 4)
+        want = frac_gradient_general(obj, x, params, quad)
+        monkeypatch.setattr(fraccalc, "LINE_GROUP", group)
+        assert np.array_equal(frac_gradient_general(obj, x, params, quad), want)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -318,3 +338,12 @@ def test_quadrature_exact_on_quadratics(seed, n, alpha, rho, node_count):
     got = frac_gradient_general(f, x, params, QuadratureSpec(node_count))
     want = frac_gradient_quadratic(A, b, x, params)
     assert np.all(np.abs(got - want) <= 1e-4 * np.maximum(np.abs(want), 1.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.05, 0.95), node_count=st.integers(2, 1024))
+def test_unit_rule_weights_are_a_mean(alpha, node_count):
+    s, w = _unit_rule(alpha, node_count)
+    assert s[0] == 0.0 and s[-1] == 1.0 and s.shape == w.shape
+    assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+    assert abs(w.sum() - 1.0) <= 1e-14

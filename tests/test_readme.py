@@ -1,0 +1,17 @@
+import re
+from pathlib import Path
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def test_quick_start_statuses(capsys):
+    # the statuses the README states for its quick start are the ones the
+    # code gives
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    scope = {}
+    exec(compile(block, str(README), "exec"), scope)
+    assert scope["report"].status.value == "Converged"
+    report2 = scope["report2"]
+    assert report2.status.value == "LineSearchFailure"
+    assert report2.iterations == 2
+    assert f"{report2.final_grad_norm:.1e}" == "3.6e-04"
