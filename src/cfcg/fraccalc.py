@@ -24,8 +24,8 @@ __all__ = [
 ]
 
 #: coordinate lines sampled per line evaluation; at node_count 32 (the
-#: CLI default) a group's sample arrays stay under glibc's 128 KiB mmap
-#: threshold
+#: CLI default) a group's (lines x 37 samples) arrays take 9.3 KiB each,
+#: well under glibc's 128 KiB mmap threshold
 LINE_GROUP = 32
 
 
@@ -61,8 +61,8 @@ class QuadratureSpec:
     """Discretization of the singular-kernel quadrature.
 
     node_count : subintervals per coordinate line (>= 2)
-    fd_step    : relative step for the inner central differences; the actual
-                 step at abscissa t is fd_step * max(1, |t|)
+    fd_step    : relative step h = fd_step * max(1, |x_i|) of the central
+                 differences at x_i, used where |x_i - c_i| / node_count < h
     """
 
     node_count: int = 256
@@ -160,17 +160,13 @@ def frac_gradient_quadratic(A, b, x, params):
     return A @ x + b + params.gamma * rbar * (x - params.c)
 
 
-def _line_samples(f, x, ii, where, h):
-    """f along the coordinate lines ii at where+h, where-h and where.
-
-    ``where`` and ``h`` hold one row of abscissae per coordinate, and the
-    three sample sets come back in that (rows, nodes) shape.  An
-    objective's vectorized ``eval_line(x, idx, ts)`` gets all the points
-    in one call; otherwise ``eval_uncounted`` (or the plain callable) is
-    probed point by point.
+def _line_samples(f, x, ii, pts):
+    """f along the coordinate lines ii at the abscissae ``pts``, one row
+    per coordinate, returned in that shape.  An objective's vectorized
+    ``eval_line(x, idx, ts)`` gets all the points in one call; otherwise
+    ``eval_uncounted`` (or the plain callable) is probed point by point.
     """
-    pts = np.stack([where + h, where - h, where], axis=1)
-    idx = np.repeat(ii, pts[0].size)
+    idx = np.repeat(ii, pts.shape[1])
     line = getattr(f, "eval_line", None)
     if line is not None:
         out = np.asarray(line(x, idx, pts.ravel()), dtype=float)
@@ -182,8 +178,7 @@ def _line_samples(f, x, ii, where, h):
             z[i] = t
             out[j] = fn(z)
             z[i] = x[i]
-    out = out.reshape(pts.shape)
-    return out[:, 0], out[:, 1], out[:, 2]
+    return out.reshape(pts.shape)
 
 
 def frac_gradient_general(f, x, params, spec):
@@ -192,16 +187,20 @@ def frac_gradient_general(f, x, params, spec):
 
     Coordinate i is
         [ D^alpha f + rho |x_i - c_i| D^(1+alpha) f ] / D^alpha I
-    on the interval between c_i and x_i, with the kernel singular at x_i
-    and the inner integer-order derivatives taken by central differences.
+    on the interval between c_i and x_i, with the kernel singular at x_i.
     The product-trapezoid weights on that interval are
     |x_i - c_i|^(1-alpha) times one fixed vector, and D^alpha I cancels
     them exactly, so the value is a weighted mean along the line,
         sum_j w_j [ f'(t_j) + rho (x_i - c_i) f''(t_j) ],
     with weights that sum to one and t_j running from c_i to x_i.  The
-    form holds for either sign of x_i - c_i and is continuous at
-    x_i = c_i, where every node is x_i and the value is the classical
-    central difference.
+    form holds for either sign of x_i - c_i.
+
+    f is sampled once per node, at the N+1 rule nodes and two ghost nodes
+    beyond each end (up to 2 |x_i - c_i| / N outside [c_i, x_i]); f' and
+    f'' come from fourth-order central stencils there, exact on quadratics.
+    Where |x_i - c_i| / N < h = fd_step * max(1, |x_i|), coordinate i is
+    d1 + rho (x_i - c_i) d2 from central differences of step h at x_i,
+    which is continuous at x_i = c_i.
 
     The lines are sampled in groups of ``LINE_GROUP`` coordinates, one
     line evaluation per group, so an objective with a vectorized
@@ -213,16 +212,27 @@ def frac_gradient_general(f, x, params, spec):
     c = params.c
     if x.shape != c.shape:
         raise ValueError(f"x has shape {x.shape} but c has shape {c.shape}")
-    s, w = _unit_rule(params.alpha, spec.node_count)
+    _, w = _unit_rule(params.alpha, spec.node_count)
     span = x - c
+    q = span / spec.node_count
+    h = spec.fd_step * np.maximum(1.0, np.abs(x))
+    k = np.arange(-spec.node_count - 2, 3)  # offsets from x_i in steps of q
+    near = np.abs(q) < h
     g = np.empty(x.size)
-    for start in range(0, x.size, LINE_GROUP):
-        ii = np.arange(start, min(start + LINE_GROUP, x.size))
-        # node 0 is c_i and node N is x_i itself
-        where = x[ii, None] - span[ii, None] * (1.0 - s)
-        h = spec.fd_step * np.maximum(1.0, np.abs(where))
-        up, down, mid = _line_samples(f, x, ii, where, h)
-        d1 = (up - down) / (2.0 * h)
-        d2 = (up - 2.0 * mid + down) / (h * h)
+    far = np.flatnonzero(~near)  # nan steps too, so nan reaches g
+    for start in range(0, far.size, LINE_GROUP):
+        ii = far[start:start + LINE_GROUP]
+        qi = q[ii, None]
+        y = _line_samples(f, x, ii, x[ii, None] + qi * k)
+        lo2, lo1, mid, up1, up2 = (y[:, j:j + w.size] for j in range(5))
+        d1 = (lo2 - up2 + 8.0 * (up1 - lo1)) / (12.0 * qi)
+        d2 = (16.0 * (lo1 + up1) - lo2 - up2 - 30.0 * mid) / (12.0 * qi * qi)
         g[ii] = ((d1 + params.rho * span[ii, None] * d2) * w).sum(axis=1)
+    ii = np.flatnonzero(near)
+    if ii.size:
+        hi = h[ii]
+        pts = x[ii, None] + hi[:, None] * np.array([1.0, -1.0, 0.0])
+        up, down, mid = _line_samples(f, x, ii, pts).T
+        g[ii] = ((up - down) / (2.0 * hi)
+                 + params.rho * span[ii] * (up - 2.0 * mid + down) / (hi * hi))
     return g

@@ -291,18 +291,98 @@ class TestGeneralGradient:
         assert np.all(np.isfinite(got))
 
     def test_line_evaluator_gives_the_plain_gradient(self):
-        # rho = 0 and a wide fd_step: the two evaluators round f
-        # differently in the last bit, and the inner differences divide
-        # that by h (by h*h in the rho term)
+        # the two evaluators round f differently in the last bit; the
+        # stencils divide that by the grid step (its square in the rho
+        # term), which is |x_i - c_i| / N, not fd_step
         spec = MlpSpec(hidden_units=6, train_points=20, trials=1)
         obj = mlp_objective(spec, "h2", data_seed=5)
-        params = FracParams(0.9, 0.0, mlp_lower_terminal(spec))
-        quad = QuadratureSpec(node_count=16, fd_step=1e-3)
-        for seed in range(3):
-            x = mlp_init(spec, seed)
-            batched = frac_gradient_general(obj, x, params, quad)
-            plain = frac_gradient_general(obj.eval_uncounted, x, params, quad)
-            assert np.max(np.abs(batched - plain)) <= 1e-12
+        quad = QuadratureSpec(node_count=16)
+        for rho in (0.0, 0.1, 0.3):
+            params = FracParams(0.9, rho, mlp_lower_terminal(spec))
+            for seed in range(3):
+                x = mlp_init(spec, seed)
+                batched = frac_gradient_general(obj, x, params, quad)
+                plain = frac_gradient_general(obj.eval_uncounted, x, params,
+                                              quad)
+                assert np.max(np.abs(batched - plain)) <= 1e-12
+
+    def test_samples_each_node_once(self):
+        # N+1 rule nodes and two ghost nodes beyond each end per coordinate
+        # off its terminal, three points per coordinate near it, one line
+        # evaluation per group of LINE_GROUP lines
+        spec = MlpSpec(hidden_units=20, train_points=10, trials=1)
+        obj = mlp_objective(spec, "h1", data_seed=2)
+        c = mlp_lower_terminal(spec)
+        params = FracParams(0.8, 0.2, c)
+        quad = QuadratureSpec(node_count=32)
+        points = []
+
+        class Counting:
+            @staticmethod
+            def eval_line(x, idx, ts):
+                points.append(np.size(ts))
+                return obj.eval_line(x, idx, ts)
+
+        x = mlp_init(spec, 1)
+        n = x.size
+        frac_gradient_general(Counting, x, params, quad)
+        assert sum(points) == (32 + 5) * n
+        assert len(points) == -(-n // fraccalc.LINE_GROUP)
+        points.clear()
+        x[3] = c[3] + 1e-6
+        frac_gradient_general(Counting, x, params, quad)
+        assert sum(points) == (32 + 5) * (n - 1) + 3
+
+    def test_near_terminal_coordinate_is_central_difference(self):
+        # 0 < |x_1 - c_1| < N h: the 3-point differences of step h at x_1
+        f = self.mixed_cubic
+        c = np.array([0.0, 0.3, -1.0])
+        x = np.array([1.2, 0.3 + 4e-5, -1.7])
+        params = FracParams(0.8, 0.2, c)
+        spec = QuadratureSpec(node_count=16, fd_step=1e-5)
+        got = frac_gradient_general(f, x, params, spec)
+        h = spec.fd_step * max(1.0, abs(x[1]))
+        assert abs(x[1] - c[1]) < spec.node_count * h
+        up, down = x.copy(), x.copy()
+        up[1] += h
+        down[1] -= h
+        d1 = (f(up) - f(down)) / (2.0 * h)
+        d2 = (f(up) - 2.0 * f(x) + f(down)) / (h * h)
+        want = d1 + params.rho * (x[1] - c[1]) * d2
+        # the rho term is about 1e-5 of the value, so a plain d1 fails
+        assert got[1] == pytest.approx(want, rel=1e-14)
+        assert got[1] != pytest.approx(d1, rel=1e-7)
+
+    def test_nan_coordinate_gives_nan(self):
+        # a nan step is neither near nor off the terminal; it must still
+        # reach the gradient for the solver's non-finite stop
+        params = FracParams(0.8, 0.2, np.array([0.0, 0.3, -1.0]))
+        got = frac_gradient_general(self.mixed_cubic,
+                                    np.array([1.2, np.nan, -1.7]), params,
+                                    QuadratureSpec(node_count=16))
+        assert np.isnan(got[1])
+
+    def test_accuracy_on_a_small_network(self):
+        # worst norm-relative error of the N = 32 gradient against N = 2048
+        # over the three targets, two starts and three (alpha, rho).  Exact
+        # inner derivatives (three samples per node at step fd_step) give
+        # 4.80e-4 worst here, all of it the product-trapezoid rule's own
+        # error; the bound allows the fourth-order stencils 5% on top
+        spec = MlpSpec(hidden_units=6, train_points=20, trials=1)
+        worst = 0.0
+        for target in ("h1", "h2", "h3"):
+            obj = mlp_objective(spec, target, data_seed=5)
+            for start in (0, 1):
+                x = mlp_init(spec, start)
+                for alpha, rho in ((0.9, 0.1), (0.5, 0.3), (0.7, 0.0)):
+                    params = FracParams(alpha, rho, mlp_lower_terminal(spec))
+                    coarse, fine = (
+                        frac_gradient_general(obj, x, params,
+                                              QuadratureSpec(node_count))
+                        for node_count in (32, 2048))
+                    worst = max(worst, np.linalg.norm(coarse - fine)
+                                / np.linalg.norm(fine))
+        assert worst <= 1.05 * 4.80e-4
 
     @pytest.mark.parametrize("group", [1, 7, 181])
     def test_value_does_not_depend_on_the_group(self, group, monkeypatch):
@@ -347,3 +427,20 @@ def test_unit_rule_weights_are_a_mean(alpha, node_count):
     assert s[0] == 0.0 and s[-1] == 1.0 and s.shape == w.shape
     assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
     assert abs(w.sum() - 1.0) <= 1e-14
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(x=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+       c=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+       node_count=st.integers(24, 64))
+def test_general_classical_limit(x, c, node_count):
+    # as alpha -> 1 the weights gather on the node at x_i, so with rho = 0
+    # the value tends to f'(x_i).  Off that node they carry under 6e-6,
+    # against f' varying by at most 10 along these lines; the stencil at
+    # x_i is exact on the cubic and off by at most (3/N)^4 / 30 on the sine
+    x = np.array(x)
+    params = FracParams(1.0 - 1e-6, 0.0, np.array(c))
+    got = frac_gradient_general(TestGeneralGradient.mixed_cubic, x, params,
+                                QuadratureSpec(node_count))
+    want = 3.0 * x**2 + np.array([x[1], x[0], -math.cos(x[2])])
+    assert np.all(np.abs(got - want) <= 1e-4 * np.maximum(np.abs(want), 1.0))
