@@ -11,15 +11,15 @@ from .fraccalc import (FracParams, QuadratureSpec, caputo_deriv_1d,
 from .problems import (Example1Config, MlpSpec, benchmark_fn, gen_example1,
                        mlp_init, mlp_lower_terminal, mlp_objective,
                        stacked_problem, tikhonov_run_objective)
-from .tikhonov import (BuildConvention, LeastSquaresProblem,
-                       SingularSystemError, abar_matrix, build_quadratic,
-                       check_Abar_pd, regularized_matrix,
-                       regularized_objective, tikhonov_solution)
+from .tikhonov import (LeastSquaresProblem, SingularSystemError,
+                       abar_matrix, build_quadratic, check_Abar_pd,
+                       regularized_matrix, regularized_objective,
+                       tikhonov_solution)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaKind", "BuildConvention", "DenominatorUnderflow", "Example1Config",
+    "BetaKind", "DenominatorUnderflow", "Example1Config",
     "FixedStep", "FracParams", "GridStep", "IterRecord", "LeastSquaresProblem",
     "LineSearchError", "LineSearchParams", "MlpSpec", "Objective",
     "QuadratureSpec", "RunReport", "RunStatus", "SingularSystemError",

@@ -116,6 +116,11 @@ class ResultRow:
     step_param: float
     wall_ms: float
 
+    def __post_init__(self):
+        # beta names the CFCG update: CFSD rows, finished or failed, have none
+        if self.solver != "CFCG":
+            self.beta = ""
+
 
 ResultRow.FIELDS = tuple(f.name for f in dataclasses.fields(ResultRow))
 _FIELD_KINDS = typing.get_type_hints(ExperimentConfig)
@@ -171,8 +176,6 @@ def load_config(path):
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             values[key] = _parse_value(text, _FIELD_KINDS[key])
-            if key == "format" and values[key] not in OUTPUT_FORMATS:
-                raise ValueError(f"unknown output format {values[key]!r}")
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: field {key!r}: {exc}") from exc
     return ExperimentConfig(**values)
@@ -242,7 +245,7 @@ def _row_from_report(report, config, experiment, solver, beta, gamma,
     dist = float("nan") if last.dist_to_reference is None else last.dist_to_reference
     return ResultRow(
         experiment=experiment, solver=solver,
-        beta=beta if solver == "CFCG" else "", alpha=config.alpha,
+        beta=beta, alpha=config.alpha,
         rho=config.rho, gamma=gamma, seed=config.seed, target=target,
         trials_completed=1,
         status=report.status.value, stop_reason=report.stop_reason,
@@ -286,14 +289,8 @@ def _run_cell(config, problem, solver, beta, out_dir=None, trace_name=None):
     return report, wall, step_param
 
 
-def _example1_instance(config, gammas):
+def _example1_instance(config):
     """The seeded least-squares instance: (problem, x0, frac)."""
-    if config.m != config.n:
-        raise ConfigError(f"example1 needs m = n, got m={config.m}, n={config.n}")
-    if not all(g >= 0.0 for g in gammas):
-        raise ConfigError(f"gamma must be nonnegative, got {_format_value(gammas)}")
-    if not config.sd_step > 0.0:
-        raise ConfigError(f"sd_step must be positive, got {config.sd_step!r}")
     prob, x0, c = gen_example1(Example1Config(seed=config.seed, m=config.m,
                                               n=config.n))
     return prob, x0, FracParams(config.alpha, config.rho, c)
@@ -318,7 +315,7 @@ def _example1_cell(config, setup, solver, beta, out_dir=None, trace_name=None):
 def run_example1(config, out_dir=None):
     """Sweep gamma grid x beta kinds x solvers on one seeded instance."""
     _check_config(config)
-    prob, x0, frac = _example1_instance(config, config.gamma_grid)
+    prob, x0, frac = _example1_instance(config)
     rows = []
     for gamma in config.gamma_grid:
         # a failed setup is not cached: each cell retries it and records
@@ -377,9 +374,6 @@ def _mean_row(reports, walls, config, solver, beta, alpha, target, step_param):
 def run_example2(config, out_dir=None):
     """Network-training comparison; one mean row per (alpha, target, solver/beta)."""
     _check_config(config)
-    bad = [t for t in config.targets if t not in BENCHMARK_IDS]
-    if bad:
-        raise ConfigError(f"unknown target(s): {', '.join(bad)}")
     alphas = config.alpha_grid if config.alpha_grid else (config.alpha,)
     cells = [("CFCG", bk) for bk in config.beta_kinds]
     if "CFSD" in config.solvers:
@@ -407,14 +401,12 @@ def run_single(config, out_dir=None):
     _check_config(config)
     target = config.problem[4:] if config.problem.startswith("mlp-") else ""
     if config.problem == "example1":
-        prob, x0, frac = _example1_instance(config, (config.gamma,))
+        prob, x0, frac = _example1_instance(config)
         cell = functools.partial(_example1_cell, config, functools.partial(
             _tikhonov_problem, config, prob, x0, frac, config.gamma))
-    elif target in BENCHMARK_IDS:
+    else:
         cell = functools.partial(_run_cell, config, _mlp_problem(
             config, config.alpha, target, 0))
-    else:
-        raise ConfigError(f"unknown problem {config.problem!r}")
 
     report, wall, step = cell(config.solver, config.beta, out_dir,
                               "trace_single.csv")
@@ -448,12 +440,10 @@ def _build_parser():
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--max-iter", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", type=str, default=None,
-                       choices=OUTPUT_FORMATS)
+        p.add_argument("--format", type=str, default=None)
         if name == "single":
             p.add_argument("--problem", type=str, default=None)
-            p.add_argument("--solver", type=str, default=None,
-                           choices=SOLVERS)
+            p.add_argument("--solver", type=str, default=None)
     return parser
 
 
@@ -483,15 +473,22 @@ def _apply_overrides(config, args, command):
 
 
 def _check_config(config):
-    """Build every solver setting the config describes once.  Each runner
-    calls this first, so a bad value is a ConfigError before any cell runs,
-    not a traceback or a row of Error(ValueError) per cell."""
+    """Check every rule on a config value, whichever runner uses it.  Each
+    runner calls this first, so a bad value is a ConfigError before any
+    cell runs, not a traceback or a row of Error(ValueError) per cell."""
     for what, names, known in (
             ("beta kind", config.beta_kinds + (config.beta,), ALL_KINDS),
-            ("solver", config.solvers + (config.solver,), SOLVERS)):
+            ("solver", config.solvers + (config.solver,), SOLVERS),
+            ("target", config.targets, BENCHMARK_IDS),
+            ("problem", (config.problem,),
+             ("example1",) + tuple(f"mlp-{t}" for t in BENCHMARK_IDS)),
+            ("output format", (config.format,), OUTPUT_FORMATS)):
         bad = [name for name in names if name not in known]
         if bad:
             raise ConfigError(f"unknown {what}(s): {', '.join(bad)}")
+    gammas = config.gamma_grid + (config.gamma,)
+    if not all(g >= 0.0 for g in gammas):
+        raise ConfigError(f"gamma must be nonnegative, got {_format_value(gammas)}")
     try:
         config.line_search()
         config.quad_spec()

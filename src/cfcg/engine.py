@@ -118,7 +118,7 @@ class FixedStep:
     eta: float
 
     def __post_init__(self):
-        if self.eta <= 0.0:
+        if not self.eta > 0.0:  # nan too
             raise ValueError("fixed step must be positive")
 
 

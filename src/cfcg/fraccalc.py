@@ -23,11 +23,6 @@ __all__ = [
     "frac_gradient_general",
 ]
 
-#: coordinate lines sampled per line evaluation; at node_count 32 (the
-#: CLI default) a group's (lines x 37 samples) arrays take 9.3 KiB each,
-#: well under glibc's 128 KiB mmap threshold
-LINE_GROUP = 32
-
 
 def _check_alpha(alpha):
     if not 0.0 < alpha < 1.0:
@@ -202,11 +197,11 @@ def frac_gradient_general(f, x, params, spec):
     d1 + rho (x_i - c_i) d2 from central differences of step h at x_i,
     which is continuous at x_i = c_i.
 
-    The lines are sampled in groups of ``LINE_GROUP`` coordinates, one
-    line evaluation per group, so an objective with a vectorized
-    ``eval_line`` shares its work across the group.  Each coordinate's
-    sum is a row-wise reduction of its own samples, so its value does not
-    depend on the group it is in.
+    All the coordinates off their terminal are sampled in one line
+    evaluation, so an objective with a vectorized ``eval_line`` shares its
+    work across them; the near-terminal ones take one more.  Each
+    coordinate's sum is a row-wise reduction of its own samples, so its
+    value does not depend on the other coordinates sampled with it.
     """
     x = np.asarray(x, dtype=float)
     c = params.c
@@ -219,9 +214,8 @@ def frac_gradient_general(f, x, params, spec):
     k = np.arange(-spec.node_count - 2, 3)  # offsets from x_i in steps of q
     near = np.abs(q) < h
     g = np.empty(x.size)
-    far = np.flatnonzero(~near)  # nan steps too, so nan reaches g
-    for start in range(0, far.size, LINE_GROUP):
-        ii = far[start:start + LINE_GROUP]
+    ii = np.flatnonzero(~near)  # nan steps too, so nan reaches g
+    if ii.size:
         qi = q[ii, None]
         y = _line_samples(f, x, ii, x[ii, None] + qi * k)
         lo2, lo1, mid, up1, up2 = (y[:, j:j + w.size] for j in range(5))

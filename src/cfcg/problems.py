@@ -15,8 +15,8 @@ import numpy as np
 
 from .engine import Objective
 from .fraccalc import frac_gradient_quadratic
-from .tikhonov import (BuildConvention, abar_matrix, build_quadratic,
-                       check_Abar_pd, tikhonov_solution)
+from .tikhonov import (abar_matrix, build_quadratic, check_Abar_pd,
+                       tikhonov_solution)
 
 __all__ = [
     "Example1Config",
@@ -44,24 +44,16 @@ class Example1Config:
     seed: int = 42
     m: int = 100
     n: int = 100
-    entry_range: tuple = (-1.0, 1.0)
-    x0_range: tuple = (1.0, 10.0)
-    c_value: float = 1.0
     gamma_grid: tuple = (0.5, 0.75, 1.0, 2.0, 3.0, 4.0)
 
 
 @dataclass(frozen=True)
 class MlpSpec:
     hidden_units: int = 60
-    activation: str = "tanh"
     train_points: int = 100
-    input_interval: tuple = (-1.0, 1.0)
     trials: int = 5
-    alpha_grid: tuple = (0.5, 0.6, 0.7, 0.8, 0.9)
 
     def __post_init__(self):
-        if self.activation != "tanh":
-            raise ValueError("only tanh networks are supported")
         if self.hidden_units < 1 or self.train_points < 1 or self.trials < 1:
             raise ValueError("hidden_units, train_points, trials must be positive")
 
@@ -71,8 +63,8 @@ class MlpSpec:
 
 
 def gen_example1(config):
-    """Random least-squares instance: X, y uniform on entry_range,
-    A = XX', b = -Ay, x0 uniform on x0_range, c = c_value * ones.
+    """Random least-squares instance: X (n x m) and y (m) uniform on
+    (-1, 1), A = XX', x0 uniform on (1, 10), c = ones.
 
     Returns (problem, x0, c); the problem's anchor x_bar is set to c and
     its gamma to the first grid entry (swap per sweep cell with
@@ -80,13 +72,11 @@ def gen_example1(config):
     """
     ss = np.random.SeedSequence(config.seed)
     problem_stream, x0_stream = [np.random.default_rng(s) for s in ss.spawn(2)]
-    lo, hi = config.entry_range
-    X = problem_stream.uniform(lo, hi, (config.n, config.m))
-    y = problem_stream.uniform(lo, hi, config.m)
-    x0 = x0_stream.uniform(config.x0_range[0], config.x0_range[1], config.n)
-    c = np.full(config.n, config.c_value)
-    prob = build_quadratic(X, y, BuildConvention.EXAMPLE1,
-                           gamma=config.gamma_grid[0], x_bar=c)
+    X = problem_stream.uniform(-1.0, 1.0, (config.n, config.m))
+    y = problem_stream.uniform(-1.0, 1.0, config.m)
+    x0 = x0_stream.uniform(1.0, 10.0, config.n)
+    c = np.ones(config.n)
+    prob = build_quadratic(X, y, gamma=config.gamma_grid[0], x_bar=c)
     return prob, x0, c
 
 
@@ -100,8 +90,7 @@ def stacked_problem(prob):
     scaled = math.sqrt(prob.gamma) * prob.r_bar
     X_aug = np.hstack([prob.X, np.diag(scaled)])
     y_aug = np.concatenate([prob.y, scaled * prob.x_bar])
-    return build_quadratic(X_aug, y_aug, BuildConvention.SECTION,
-                           gamma=0.0, x_bar=prob.x_bar)
+    return build_quadratic(X_aug, y_aug, x_bar=prob.x_bar)
 
 
 def tikhonov_run_objective(prob, frac):
@@ -175,13 +164,12 @@ def mlp_objective(spec, target, data_seed):
     """Mean-squared-error objective of a 1-H-1 tanh network against a
     sampled target function.
 
-    The dataset (train_points inputs uniform on input_interval) is drawn
+    The dataset (train_points inputs uniform on (-1, 1)) is drawn
     from data_seed only.  Besides plain evaluation the objective carries a
     vectorized coordinate-line evaluator used by the quadrature path.
     """
     rng = np.random.default_rng(data_seed)
-    lo, hi = spec.input_interval
-    z = rng.uniform(lo, hi, spec.train_points)
+    z = rng.uniform(-1.0, 1.0, spec.train_points)
     tv = benchmark_fn(target, z)
     H = spec.hidden_units
 

@@ -11,13 +11,11 @@ kept under distinct names.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "BuildConvention",
     "LeastSquaresProblem",
     "SingularSystemError",
     "build_quadratic",
@@ -37,13 +35,6 @@ class SingularSystemError(np.linalg.LinAlgError):
     """The regularized system is numerically singular."""
 
 
-class BuildConvention(str, enum.Enum):
-    #: b = -X y  (the derivation's form; y must have the column dimension)
-    SECTION = "SectionForm"
-    #: b = -A y  (the random-instance experiments' form; requires m = n)
-    EXAMPLE1 = "Example1Form"
-
-
 @dataclass
 class LeastSquaresProblem:
     """Data of min ||X'x - y||^2 with its Tikhonov quantities.
@@ -51,23 +42,24 @@ class LeastSquaresProblem:
     X      : n x m data matrix
     y      : length-m target
     A      : X X' (symmetric PSD by construction)
-    b      : linear term under the chosen convention
     r_bar  : diagonal of Rbar, i.e. sqrt(diag(A))
     gamma  : Tikhonov parameter (>= 0)
     x_bar  : anchor point of the regularizer
+
+    No linear term is stored: a run objective builds the one its
+    iteration matrix needs (see problems.tikhonov_run_objective).
     """
 
     X: np.ndarray
     y: np.ndarray
     A: np.ndarray
-    b: np.ndarray
     r_bar: np.ndarray
     gamma: float
     x_bar: np.ndarray
 
 
-def build_quadratic(X, y, convention, gamma=0.0, x_bar=None):
-    """Assemble a LeastSquaresProblem; A = XX' always, b per convention."""
+def build_quadratic(X, y, gamma=0.0, x_bar=None):
+    """Assemble a LeastSquaresProblem with A = XX'."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.size == 0:
@@ -77,18 +69,11 @@ def build_quadratic(X, y, convention, gamma=0.0, x_bar=None):
         raise ValueError(f"y has shape {y.shape}, expected ({m},)")
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
-    convention = BuildConvention(convention)
     A = X @ X.T
-    if convention is BuildConvention.SECTION:
-        b = -X @ y
-    else:
-        if m != n:
-            raise ValueError(f"{convention.value} needs m = n, got {n}x{m}")
-        b = -A @ y
     x_bar = np.zeros(n) if x_bar is None else np.asarray(x_bar, dtype=float)
     if x_bar.shape != (n,):
         raise ValueError(f"x_bar has shape {x_bar.shape}, expected ({n},)")
-    return LeastSquaresProblem(X=X, y=y, A=A, b=b, r_bar=np.sqrt(np.diag(A)),
+    return LeastSquaresProblem(X=X, y=y, A=A, r_bar=np.sqrt(np.diag(A)),
                                gamma=float(gamma), x_bar=x_bar)
 
 

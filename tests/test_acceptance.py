@@ -243,7 +243,7 @@ def test_criterion_08_closed_form_oracle():
         y = rng.uniform(-1, 1, n)
         x_bar = rng.normal(size=n)
         gamma = float(rng.uniform(0.3, 4.0))
-        prob = build_quadratic(X, y, "SectionForm", gamma=gamma, x_bar=x_bar)
+        prob = build_quadratic(X, y, gamma=gamma, x_bar=x_bar)
         got = tikhonov_solution(prob)
         # independent stacked-normal-equation solve
         A = X @ X.T

@@ -2,10 +2,13 @@ import csv
 import dataclasses
 import json
 import math
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfcg.cli import (ConfigError, ExperimentConfig, ResultRow, load_config,
                       main, run_example1, run_example2, run_single,
@@ -87,6 +90,35 @@ class TestConfigFile:
             load_config(path)
 
 
+# a config string the file format can hold: no comment mark, no list
+# separator and no whitespace, which the reader strips
+_CONFIG_TEXT = st.characters(exclude_categories=("Cs",),
+                             exclude_characters="#,").filter(
+                                 lambda ch: not ch.isspace())
+
+
+def _field_values(name, kind):
+    if name == "format":
+        return st.sampled_from(("csv", "json"))
+    if typing.get_origin(kind) is tuple:
+        # an empty element would read back as no element
+        elem = _field_values(name, typing.get_args(kind)[0])
+        return st.lists(elem.filter(lambda v: v != ""), max_size=4).map(tuple)
+    return {bool: st.booleans(), int: st.integers(),
+            float: st.floats(allow_nan=False, allow_infinity=False),
+            str: st.text(_CONFIG_TEXT, max_size=8)}[kind]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.builds(ExperimentConfig, **{
+    name: _field_values(name, kind)
+    for name, kind in typing.get_type_hints(ExperimentConfig).items()}))
+def test_config_round_trip(tmp_path_factory, config):
+    path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+    save_config(config, path)
+    assert load_config(path) == config
+
+
 class TestSerialization:
     def test_csv_header_is_stable(self, tmp_path):
         rows = run_example1(TINY)
@@ -146,7 +178,7 @@ class TestSerialization:
 
     def test_trace_float_precision_round_trips(self, tmp_path):
         config = TINY
-        prob, x0, frac = _example1_instance(config, (1.0,))
+        prob, x0, frac = _example1_instance(config)
         problem = _tikhonov_problem(config, prob, x0, frac, 1.0)
         report, _, _ = _run_cell(config, problem, "CFCG", "FR")
         path = tmp_path / "trace.csv"
@@ -205,7 +237,7 @@ class TestExample1Runner:
 
     def test_sweep_isolation_matches_single_cell(self):
         rows = run_example1(DESK)
-        prob, x0, frac = _example1_instance(DESK, DESK.gamma_grid)
+        prob, x0, frac = _example1_instance(DESK)
         # reproduce an arbitrary interior cell in isolation
         target_row = next(r for r in rows
                           if r.solver == "CFCG" and r.beta == "DY" and r.gamma == 2.0)
@@ -231,6 +263,16 @@ class TestExample1Runner:
         dists = [float(r["dist_to_ref"]) for r in recs]
         assert dists[-1] < dists[0]
         assert dists[-1] < 1e-2
+
+    def test_failed_cfsd_row_has_no_beta(self):
+        # rho = -50 makes every iteration matrix indefinite, so each cell
+        # records the setup's error; CFSD rows leave beta empty as
+        # finished ones do
+        rows = run_example1(dataclasses.replace(TINY, rho=-50.0,
+                                                beta_kinds=("FR", "CD")))
+        assert all(r.status == "Error(ArithmeticError)" for r in rows)
+        assert [(r.solver, r.beta) for r in rows] == [
+            ("CFCG", "FR"), ("CFSD", ""), ("CFCG", "CD"), ("CFSD", "")]
 
 
 class TestExample2Runner:
@@ -385,12 +427,20 @@ class TestMainEntry:
         pytest.param(["single", "--problem", "example1", "--gamma", "-5"],
                      id="single-gamma-negative"),
         pytest.param(["single", "--problem", "mlp-h9"], id="unknown-mlp-target"),
-        pytest.param(["example1", "--config", "m = 6\nn = 5\n"],
-                     id="m-differs-from-n"),
+        pytest.param(["single", "--problem", "mlp-h1", "--gamma", "-5"],
+                     id="mlp-gamma-negative"),
         pytest.param(["example1", "--config", "sd_step = 0\n"],
                      id="sd-step-nonpositive"),
+        pytest.param(["single", "--problem", "mlp-h1", "--config",
+                      "sd_step = nan\n"], id="mlp-sd-step-nan"),
         pytest.param(["single", "--config", "format = xml\n"],
                      id="format-unknown"),
+        pytest.param(["single", "--format", "xml"], id="format-flag-unknown"),
+        pytest.param(["single", "--solver", "SD"], id="solver-flag-unknown"),
+        pytest.param(["example1", "--config", "problem = rosenbrock\n"],
+                     id="example1-problem-unknown"),
+        pytest.param(["example1", "--config", "targets = h9\n"],
+                     id="example1-target-unknown"),
         pytest.param(["example2", "--config", "targets = h2,h9\n"],
                      id="unknown-example2-target"),
         pytest.param(["example2", "--config", "trials = 0\n"], id="trials-zero"),
@@ -416,6 +466,19 @@ class TestMainEntry:
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("m, n", [(12, 8), (8, 12)])
+    def test_example1_runs_when_m_differs_from_n(self, m, n, tmp_path):
+        cfg = tmp_path / "mn.cfg"
+        cfg.write_text(f"m = {m}\nn = {n}\nwrite_traces = false\n")
+        code = main(["example1", "--config", str(cfg), "--gamma", "0.5,4",
+                     "--beta", "FR", "--out", str(tmp_path / "o")])
+        assert code in (0, 1)
+        rows = read_csv_rows(tmp_path / "o" / "results.csv")
+        assert len(rows) == 4
+        done = [r for r in rows
+                if r["solver"] == "CFCG" and r["status"] == "Converged"]
+        assert done and all(float(r["final_dist"]) <= 1e-4 for r in done)
 
     @staticmethod
     def _tiny_cfg(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfcg import fraccalc
 from cfcg.fraccalc import (FracParams, QuadratureSpec, _unit_rule,
                            caputo_deriv_1d, frac_gradient_general,
                            frac_gradient_quadratic, gamma_coeff, taylor_coeff)
@@ -308,8 +307,8 @@ class TestGeneralGradient:
 
     def test_samples_each_node_once(self):
         # N+1 rule nodes and two ghost nodes beyond each end per coordinate
-        # off its terminal, three points per coordinate near it, one line
-        # evaluation per group of LINE_GROUP lines
+        # off its terminal, three points per coordinate near it; one line
+        # evaluation for the first kind and one more for the second
         spec = MlpSpec(hidden_units=20, train_points=10, trials=1)
         obj = mlp_objective(spec, "h1", data_seed=2)
         c = mlp_lower_terminal(spec)
@@ -326,12 +325,11 @@ class TestGeneralGradient:
         x = mlp_init(spec, 1)
         n = x.size
         frac_gradient_general(Counting, x, params, quad)
-        assert sum(points) == (32 + 5) * n
-        assert len(points) == -(-n // fraccalc.LINE_GROUP)
+        assert points == [(32 + 5) * n]
         points.clear()
         x[3] = c[3] + 1e-6
         frac_gradient_general(Counting, x, params, quad)
-        assert sum(points) == (32 + 5) * (n - 1) + 3
+        assert points == [(32 + 5) * (n - 1), 3]
 
     def test_near_terminal_coordinate_is_central_difference(self):
         # 0 < |x_1 - c_1| < N h: the 3-point differences of step h at x_1
@@ -383,17 +381,6 @@ class TestGeneralGradient:
                     worst = max(worst, np.linalg.norm(coarse - fine)
                                 / np.linalg.norm(fine))
         assert worst <= 1.05 * 4.80e-4
-
-    @pytest.mark.parametrize("group", [1, 7, 181])
-    def test_value_does_not_depend_on_the_group(self, group, monkeypatch):
-        spec = MlpSpec(hidden_units=60, train_points=50, trials=1)
-        obj = mlp_objective(spec, "h1", data_seed=3)
-        params = FracParams(0.9, 0.1, mlp_lower_terminal(spec))
-        quad = QuadratureSpec(node_count=32)
-        x = mlp_init(spec, 4)
-        want = frac_gradient_general(obj, x, params, quad)
-        monkeypatch.setattr(fraccalc, "LINE_GROUP", group)
-        assert np.array_equal(frac_gradient_general(obj, x, params, quad), want)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

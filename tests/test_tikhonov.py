@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cfcg.fraccalc import FracParams
-from cfcg.tikhonov import (BuildConvention, SingularSystemError, abar_matrix,
-                           build_quadratic, check_Abar_pd, regularized_matrix,
+from cfcg.tikhonov import (SingularSystemError, abar_matrix, build_quadratic,
+                           check_Abar_pd, regularized_matrix,
                            regularized_objective, solve_spd, tikhonov_solution)
 
 
@@ -28,28 +28,15 @@ def random_problem(seed, n, m=None, gamma=1.0):
     X = rng.uniform(-1, 1, (n, m))
     y = rng.uniform(-1, 1, m)
     x_bar = rng.normal(size=n)
-    return build_quadratic(X, y, BuildConvention.SECTION, gamma=gamma, x_bar=x_bar)
+    return build_quadratic(X, y, gamma=gamma, x_bar=x_bar)
 
 
 class TestBuildQuadratic:
     def test_identity_section_form(self):
         y = np.array([1.0, 2.0, 3.0])
-        prob = build_quadratic(np.eye(3), y, BuildConvention.SECTION)
+        prob = build_quadratic(np.eye(3), y)
         assert np.array_equal(prob.A, np.eye(3))
-        assert np.array_equal(prob.b, -y)
-
-    def test_identity_example1_form(self):
-        y = np.array([1.0, 2.0, 3.0])
-        prob = build_quadratic(np.eye(3), y, BuildConvention.EXAMPLE1)
-        assert np.array_equal(prob.b, -y)
-
-    def test_conventions_differ(self):
-        X = np.array([[2.0, 0.0], [0.0, 0.5]])
-        y = np.array([1.0, 1.0])
-        section = build_quadratic(X, y, "SectionForm")
-        example1 = build_quadratic(X, y, "Example1Form")
-        assert np.allclose(section.b, [-2.0, -0.5])
-        assert np.allclose(example1.b, [-4.0, -0.25])
+        assert np.array_equal(prob.y, y)
 
     def test_r_bar_from_diagonal(self):
         prob = random_problem(0, 6)
@@ -57,11 +44,9 @@ class TestBuildQuadratic:
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
-            build_quadratic(np.eye(3), np.ones(2), "SectionForm")
+            build_quadratic(np.eye(3), np.ones(2))
         with pytest.raises(ValueError):
-            build_quadratic(np.ones((2, 3)), np.ones(3), "Example1Form")
-        with pytest.raises(ValueError):
-            build_quadratic(np.eye(2), np.ones(2), "SectionForm", gamma=-1.0)
+            build_quadratic(np.eye(2), np.ones(2), gamma=-1.0)
 
 
 class TestTikhonovSolution:
@@ -71,7 +56,7 @@ class TestTikhonovSolution:
         y = rng.normal(size=4)
         expected = np.linalg.solve(X @ X.T, X @ y)
         for x_bar in (np.zeros(4), rng.normal(size=4)):
-            prob = build_quadratic(X, y, "SectionForm", gamma=0.0, x_bar=x_bar)
+            prob = build_quadratic(X, y, gamma=0.0, x_bar=x_bar)
             assert np.allclose(tikhonov_solution(prob), expected, atol=1e-9)
 
     def test_huge_gamma_pins_anchor(self):
@@ -99,12 +84,12 @@ class TestTikhonovSolution:
         x_bar = rng.normal(size=20)
         dists = []
         for gamma in (0.5, 0.75, 1.0, 2.0, 3.0, 4.0):
-            prob = build_quadratic(X, y, "SectionForm", gamma=gamma, x_bar=x_bar)
+            prob = build_quadratic(X, y, gamma=gamma, x_bar=x_bar)
             dists.append(np.linalg.norm(tikhonov_solution(prob) - x_bar))
         assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:]))
 
     def test_singular_system(self):
-        prob = build_quadratic(np.zeros((3, 3)), np.zeros(3), "SectionForm")
+        prob = build_quadratic(np.zeros((3, 3)), np.zeros(3))
         with pytest.raises(SingularSystemError):
             tikhonov_solution(prob)
 
@@ -120,7 +105,7 @@ class TestRegularizedObjective:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(3, 3))
         x_bar = rng.normal(size=3)
-        prob = build_quadratic(X, X.T @ x_bar, "SectionForm", gamma=2.0,
+        prob = build_quadratic(X, X.T @ x_bar, gamma=2.0,
                                x_bar=x_bar)
         assert regularized_objective(prob, x_bar) == pytest.approx(0.0, abs=1e-20)
 
@@ -152,21 +137,21 @@ class TestRegularizedObjective:
 
 class TestAbar:
     def test_identity_case(self):
-        prob = build_quadratic(np.eye(3), np.ones(3), "SectionForm")
+        prob = build_quadratic(np.eye(3), np.ones(3))
         frac = FracParams(0.9, 0.1, np.zeros(3))
         assert check_Abar_pd(prob, frac)
         assert np.allclose(abar_matrix(prob, frac),
                            (1.0 + 1.0 / 110.0) * np.eye(3))
 
     def test_zero_matrix_not_pd(self):
-        prob = build_quadratic(np.zeros((2, 2)), np.zeros(2), "SectionForm")
+        prob = build_quadratic(np.zeros((2, 2)), np.zeros(2))
         frac = FracParams(0.5, 0.0, np.zeros(2))
         assert not check_Abar_pd(prob, frac)
 
     def test_full_rank_with_nonneg_gamma(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(5, 8))
-        prob = build_quadratic(X, rng.normal(size=8), "SectionForm")
+        prob = build_quadratic(X, rng.normal(size=8))
         frac = FracParams(0.9, 0.1, np.zeros(5))  # gamma_ar > 0
         assert check_Abar_pd(prob, frac)
 
