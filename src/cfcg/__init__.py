@@ -1,9 +1,9 @@
 """Caputo fractional conjugate-gradient optimization."""
 
-from .engine import (BetaKind, DenominatorUnderflow, FixedStep, GridStep,
-                     IterRecord, LineSearchError, LineSearchParams, Objective,
-                     RunReport, RunStatus, StopCriteria, armijo_wolfe_search,
-                     beta_value, cfcg_minimize, cfsd_minimize, direction,
+from .engine import (BetaKind, DenominatorUnderflow, GridStep, IterRecord,
+                     LineSearchError, LineSearchParams, Objective, RunReport,
+                     RunStatus, StopCriteria, armijo_wolfe_search, beta_value,
+                     cfcg_minimize, cfsd_minimize, direction,
                      recheck_armijo_wolfe)
 from .fraccalc import (FracParams, QuadratureSpec, caputo_deriv_1d,
                        frac_gradient_general, frac_gradient_quadratic,
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BetaKind", "DenominatorUnderflow", "Example1Config",
-    "FixedStep", "FracParams", "GridStep", "IterRecord", "LeastSquaresProblem",
+    "FracParams", "GridStep", "IterRecord", "LeastSquaresProblem",
     "LineSearchError", "LineSearchParams", "MlpSpec", "Objective",
     "QuadratureSpec", "RunReport", "RunStatus", "SingularSystemError",
     "StopCriteria", "abar_matrix",

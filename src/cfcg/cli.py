@@ -3,8 +3,8 @@
 Three subcommands: ``example1`` sweeps the random regularized
 least-squares instance over the gamma grid and all requested beta kinds,
 ``example2`` trains the tiny tanh network on the three scalar targets and
-reports per-cell means over trials, ``single`` runs one configured solver
-on one problem and serializes its full trace.
+reports per-cell means over trials, ``single`` runs the first cell of the
+configured sweep on one problem and serializes its full trace.
 
 Configuration lives in a flat ``key = value`` text file; command-line
 flags override file values.  Exit codes: 0 all runs converged, 1 some run
@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import (BetaKind, FixedStep, GridStep, LineSearchParams,
-                     RunStatus, StopCriteria, cfcg_minimize, cfsd_minimize)
+from .engine import (BetaKind, GridStep, LineSearchParams, RunStatus,
+                     StopCriteria, cfcg_minimize, cfsd_minimize)
 from .fraccalc import FracParams, QuadratureSpec
 from .problems import (BENCHMARK_IDS, Example1Config, MlpSpec, gen_example1,
                        mlp_init, mlp_lower_terminal, mlp_objective,
@@ -54,7 +54,6 @@ OUTPUT_FORMATS = ("csv", "json")
 
 @dataclass
 class ExperimentConfig:
-    experiment: str = "example1"
     seed: int = 42
     beta_kinds: tuple[str, ...] = ALL_KINDS
     alpha: float = 0.9
@@ -72,7 +71,6 @@ class ExperimentConfig:
     sd_grid: tuple[float, ...] = (0.01, 0.005, 0.001, 0.0005, 0.0001, 0.00005, 0.00001)
     f_decrease_tol: float = 1e-4
     node_count: int = 32
-    fd_step: float = 1e-5
     m: int = 100
     n: int = 100
     hidden_units: int = 60
@@ -80,9 +78,6 @@ class ExperimentConfig:
     trials: int = 5
     targets: tuple[str, ...] = BENCHMARK_IDS
     problem: str = "example1"
-    solver: str = "CFCG"
-    beta: str = "FR"
-    gamma: float = 1.0
     out: str = "bench_out"
     format: str = "csv"
     write_traces: bool = True
@@ -92,7 +87,7 @@ class ExperimentConfig:
                                 self.max_trials)
 
     def quad_spec(self):
-        return QuadratureSpec(self.node_count, self.fd_step)
+        return QuadratureSpec(self.node_count)
 
 
 @dataclass
@@ -267,8 +262,8 @@ def _run_cell(config, problem, solver, beta, out_dir=None, trace_name=None):
     (if given); returns (report, wall_ms, step_param).
 
     The objective's counters are reset first, so a problem can be shared
-    by several cells.  step_param is the CFSD rule's step: the fixed step,
-    or the largest grid entry; nan for CFCG.
+    by several cells.  step_param is the CFSD rule's largest step; nan
+    for CFCG.
     """
     p = problem
     p.objective.reset_counters()
@@ -281,8 +276,7 @@ def _run_cell(config, problem, solver, beta, out_dir=None, trace_name=None):
     else:
         report = cfsd_minimize(p.objective, p.x0, p.frac, p.sd_rule,
                                stop=p.stop, quad=p.quad, reference=p.reference)
-        rule = p.sd_rule
-        step_param = rule.eta if isinstance(rule, FixedStep) else max(rule.etas)
+        step_param = max(p.sd_rule.etas)
     wall = (time.perf_counter() - t0) * 1e3
     if out_dir is not None and config.write_traces:
         write_trace_csv(report.trace, Path(out_dir) / trace_name)
@@ -302,7 +296,7 @@ def _tikhonov_problem(config, prob, x0, frac, gamma):
     objective, target, _ = tikhonov_run_objective(prob, frac)
     return _Problem(objective, x0, frac,
                     StopCriteria(config.grad_tol, config.max_iter),
-                    FixedStep(config.sd_step), reference=target)
+                    GridStep((config.sd_step,)), reference=target)
 
 
 def _example1_cell(config, setup, solver, beta, out_dir=None, trace_name=None):
@@ -375,7 +369,7 @@ def run_example2(config, out_dir=None):
     """Network-training comparison; one mean row per (alpha, target, solver/beta)."""
     _check_config(config)
     alphas = config.alpha_grid if config.alpha_grid else (config.alpha,)
-    cells = [("CFCG", bk) for bk in config.beta_kinds]
+    cells = [("CFCG", bk) for bk in config.beta_kinds if "CFCG" in config.solvers]
     if "CFSD" in config.solvers:
         cells.append(("CFSD", ""))
     rows = []
@@ -397,22 +391,22 @@ def run_example2(config, out_dir=None):
 
 
 def run_single(config, out_dir=None):
-    """One problem, one solver, one beta; returns (row, report)."""
+    """The first cell of the configured sweep; returns (row, report)."""
     _check_config(config)
+    solver, beta = config.solvers[0], config.beta_kinds[0]
     target = config.problem[4:] if config.problem.startswith("mlp-") else ""
+    gamma = float("nan") if target else config.gamma_grid[0]
     if config.problem == "example1":
         prob, x0, frac = _example1_instance(config)
         cell = functools.partial(_example1_cell, config, functools.partial(
-            _tikhonov_problem, config, prob, x0, frac, config.gamma))
+            _tikhonov_problem, config, prob, x0, frac, gamma))
     else:
         cell = functools.partial(_run_cell, config, _mlp_problem(
             config, config.alpha, target, 0))
 
-    report, wall, step = cell(config.solver, config.beta, out_dir,
-                              "trace_single.csv")
-    gamma = float("nan") if target else config.gamma
-    row = _row_from_report(report, config, "single", config.solver,
-                           config.beta, gamma, step, wall, target)
+    report, wall, step = cell(solver, beta, out_dir, "trace_single.csv")
+    row = _row_from_report(report, config, "single", solver, beta, gamma,
+                           step, wall, target)
     return row, report
 
 
@@ -450,25 +444,24 @@ def _build_parser():
 # flags copied as given: flag attribute -> config field
 _PLAIN_FLAGS = {"seed": "seed", "alpha": "alpha", "rho": "rho",
                 "tol": "grad_tol", "max_iter": "max_iter", "out": "out",
-                "format": "format", "problem": "problem", "solver": "solver"}
+                "format": "format", "problem": "problem"}
+# comma-separated flags: flag attribute -> (config field, element type)
+_GRID_FLAGS = {"beta": ("beta_kinds", str.upper), "solver": ("solvers", str),
+               "gamma": ("gamma_grid", float)}
 
 
-def _apply_overrides(config, args, command):
-    updates = {"experiment": command}
+def _apply_overrides(config, args):
+    updates = {}
     for flag, name in _PLAIN_FLAGS.items():
         if getattr(args, flag, None) is not None:
             updates[name] = getattr(args, flag)
-    if args.beta is not None:
-        kinds = tuple(k.strip().upper() for k in args.beta.split(","))
-        updates["beta_kinds"] = kinds
-        updates["beta"] = kinds[0]
-    if args.gamma is not None:
-        try:
-            grid = tuple(float(g) for g in args.gamma.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"--gamma: {exc}") from exc
-        updates["gamma_grid"] = grid
-        updates["gamma"] = grid[0]
+    for flag, (name, elem) in _GRID_FLAGS.items():
+        text = getattr(args, flag, None)
+        if text is not None:
+            try:
+                updates[name] = tuple(elem(v.strip()) for v in text.split(","))
+            except ValueError as exc:
+                raise ConfigError(f"--{flag}: {exc}") from exc
     return dataclasses.replace(config, **updates)
 
 
@@ -476,9 +469,13 @@ def _check_config(config):
     """Check every rule on a config value, whichever runner uses it.  Each
     runner calls this first, so a bad value is a ConfigError before any
     cell runs, not a traceback or a row of Error(ValueError) per cell."""
+    empty = [name for name in ("beta_kinds", "solvers", "gamma_grid", "targets")
+             if not getattr(config, name)]
+    if empty:
+        raise ConfigError(f"empty list(s): {', '.join(empty)}")
     for what, names, known in (
-            ("beta kind", config.beta_kinds + (config.beta,), ALL_KINDS),
-            ("solver", config.solvers + (config.solver,), SOLVERS),
+            ("beta kind", config.beta_kinds, ALL_KINDS),
+            ("solver", config.solvers, SOLVERS),
             ("target", config.targets, BENCHMARK_IDS),
             ("problem", (config.problem,),
              ("example1",) + tuple(f"mlp-{t}" for t in BENCHMARK_IDS)),
@@ -486,14 +483,14 @@ def _check_config(config):
         bad = [name for name in names if name not in known]
         if bad:
             raise ConfigError(f"unknown {what}(s): {', '.join(bad)}")
-    gammas = config.gamma_grid + (config.gamma,)
-    if not all(g >= 0.0 for g in gammas):
-        raise ConfigError(f"gamma must be nonnegative, got {_format_value(gammas)}")
+    if not all(g >= 0.0 for g in config.gamma_grid):
+        raise ConfigError("gamma must be nonnegative, got "
+                          + _format_value(config.gamma_grid))
     try:
         config.line_search()
         config.quad_spec()
         StopCriteria(config.grad_tol, config.max_iter, config.f_decrease_tol)
-        FixedStep(config.sd_step)
+        GridStep((config.sd_step,))
         GridStep(config.sd_grid)
         MlpSpec(hidden_units=config.hidden_units,
                 train_points=config.train_points, trials=config.trials)
@@ -508,7 +505,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config) if args.config else ExperimentConfig()
-        config = _apply_overrides(config, args, args.command)
+        config = _apply_overrides(config, args)
         out_dir = Path(config.out)
         if args.command == "example1":
             rows = run_example1(config, out_dir)

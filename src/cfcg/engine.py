@@ -23,7 +23,6 @@ __all__ = [
     "RunStatus",
     "LineSearchParams",
     "StopCriteria",
-    "FixedStep",
     "GridStep",
     "Objective",
     "IterRecord",
@@ -51,7 +50,7 @@ DIRECTION_NORM_CAP = 1e6
 STALL_DISPLACEMENT = 1e-9
 # restart after a line search that needed this many backtracks
 STALL_TRIALS = 30
-# consecutive objective increases tolerated by fixed-step descent
+# consecutive objective increases tolerated by step-grid descent
 DIVERGENCE_STREAK = 50
 
 
@@ -107,28 +106,23 @@ class StopCriteria:
     f_decrease_tol: float | None = None
 
     def __post_init__(self):
-        if self.grad_tol <= 0.0:
+        if not self.grad_tol > 0.0:  # nan too
             raise ValueError("grad_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-
-
-@dataclass(frozen=True)
-class FixedStep:
-    eta: float
-
-    def __post_init__(self):
-        if not self.eta > 0.0:  # nan too
-            raise ValueError("fixed step must be positive")
+        if self.f_decrease_tol is not None and math.isnan(self.f_decrease_tol):
+            raise ValueError("f_decrease_tol must not be nan")
 
 
 @dataclass(frozen=True)
 class GridStep:
+    """Steepest-descent step rule; a fixed step eta is GridStep((eta,))."""
+
     etas: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
-        if not self.etas or any(e <= 0.0 for e in self.etas):
+        if not self.etas or not all(e > 0.0 for e in self.etas):
             raise ValueError("step grid must be nonempty and positive")
 
 
@@ -142,12 +136,11 @@ class Objective:
     hook used by quadratic problems in place of quadrature.
     """
 
-    def __init__(self, fn, frac_gradient=None, eval_line=None, name=""):
+    def __init__(self, fn, frac_gradient=None, eval_line=None):
         self.fn = fn
         self.frac_gradient = frac_gradient
         if eval_line is not None:
             self.eval_line = eval_line
-        self.name = name
         self.objective_evals = 0
         self.gradient_evals = 0
 
@@ -321,17 +314,16 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     kind is a BetaKind for conjugate directions, or None for steepest
     descent (beta = 0, d = -g, no restarts).  rule is a LineSearchParams
     for the Armijo-Wolfe search, or a GridStep whose entries are all tried
-    and the lowest trial value kept; a FixedStep is the one-entry grid,
-    and its run also stops after DIVERGENCE_STREAK consecutive objective
-    increases.  Every step evaluates the gradient once, at the accepted
-    point.  A run whose f or gradient norm at the current point is not
-    finite stops there with MaxIter and stop reason "non-finite".
+    and the lowest trial value kept; a GridStep run also stops after
+    DIVERGENCE_STREAK consecutive objective increases ("divergence").
+    Every step evaluates the gradient once, at the accepted point.  A run
+    whose f or gradient norm at the current point is not finite stops
+    there with MaxIter and stop reason "non-finite".
     """
     stop = stop or StopCriteria()
     grad = _gradient_evaluator(f, frac, quad)
     search = isinstance(rule, LineSearchParams)
-    fixed = isinstance(rule, FixedStep)
-    etas = (rule.eta,) if fixed else None if search else rule.etas
+    etas = None if search else rule.etas
 
     x = np.asarray(x0, dtype=float).copy()
     f_x = f.eval(x)
@@ -394,9 +386,10 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
             points = [x + e * d for e in etas]
             trial_fs = [f.eval(z) for z in points]
             # np.argmin costs ~5 us a call, too much for fixed-step runs
-            j = 0 if fixed else int(np.argmin(trial_fs))
+            j = 0 if len(etas) == 1 else int(np.argmin(trial_fs))
             eta, trials, x_new, f_new = etas[j], len(etas), points[j], trial_fs[j]
             g_new = grad(x_new)
+            increase_streak = increase_streak + 1 if f_new > f_x else 0
 
         trace.append(IterRecord(k, f_x, gn, eta, beta, descent_inner,
                                 cos_theta, restarted, dist(x)))
@@ -412,8 +405,6 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
             force_restart = (displacement < STALL_DISPLACEMENT * (1.0 + _norm(x))
                              or trials >= STALL_TRIALS)
             g_prev, d_prev = g, d
-        if fixed:
-            increase_streak = increase_streak + 1 if f_new > f_x else 0
         decrease = f_x - f_new
         x, f_x, g = x_new, f_new, g_new
         if increase_streak >= DIVERGENCE_STREAK:
@@ -454,11 +445,11 @@ def cfsd_minimize(f, x0, frac, step_rule, stop=None, quad=None,
     """Fractional steepest descent: x <- x - eta * g, the beta = 0 case of
     the conjugate-gradient loop with a step rule in place of the search.
 
-    FixedStep uses the configured constant step (one objective evaluation
-    per iteration, used by the divergence guard, so evaluations exceed
-    iterations by exactly one).  GridStep tries every grid entry each
-    iteration and takes the one with the lowest trial value.  keep_vectors
-    retains x only, so recheck_armijo_wolfe refuses the report.
+    step_rule is a GridStep: every entry is tried each iteration and the
+    lowest trial value kept, so a one-entry grid is a fixed step whose
+    evaluations exceed iterations by exactly one.  DIVERGENCE_STREAK
+    consecutive increases stop the run (MaxIter, "divergence").
+    keep_vectors retains x only, so recheck_armijo_wolfe refuses it.
     """
     return _minimize(f, x0, frac, None, step_rule, stop, quad, reference,
                      keep_vectors)

@@ -24,6 +24,10 @@ __all__ = [
 ]
 
 
+#: relative step of the central differences near a terminal
+FD_STEP = 1e-5
+
+
 def _check_alpha(alpha):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"fractional order must lie in (0, 1), got {alpha}")
@@ -44,6 +48,8 @@ class FracParams:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
+        if not math.isfinite(self.rho):
+            raise ValueError(f"rho must be finite, got {self.rho}")
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
 
     @property
@@ -56,18 +62,16 @@ class QuadratureSpec:
     """Discretization of the singular-kernel quadrature.
 
     node_count : subintervals per coordinate line (>= 2)
-    fd_step    : relative step h = fd_step * max(1, |x_i|) of the central
-                 differences at x_i, used where |x_i - c_i| / node_count < h
+
+    The central differences near a terminal take the fixed relative step
+    FD_STEP.
     """
 
     node_count: int = 256
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if self.node_count < 2:
             raise ValueError("node_count must be >= 2")
-        if self.fd_step <= 0.0:
-            raise ValueError("fd_step must be positive")
 
 
 def gamma_coeff(alpha, rho):
@@ -193,7 +197,7 @@ def frac_gradient_general(f, x, params, spec):
     f is sampled once per node, at the N+1 rule nodes and two ghost nodes
     beyond each end (up to 2 |x_i - c_i| / N outside [c_i, x_i]); f' and
     f'' come from fourth-order central stencils there, exact on quadratics.
-    Where |x_i - c_i| / N < h = fd_step * max(1, |x_i|), coordinate i is
+    Where |x_i - c_i| / N < h = FD_STEP * max(1, |x_i|), coordinate i is
     d1 + rho (x_i - c_i) d2 from central differences of step h at x_i,
     which is continuous at x_i = c_i.
 
@@ -210,7 +214,7 @@ def frac_gradient_general(f, x, params, spec):
     _, w = _unit_rule(params.alpha, spec.node_count)
     span = x - c
     q = span / spec.node_count
-    h = spec.fd_step * np.maximum(1.0, np.abs(x))
+    h = FD_STEP * np.maximum(1.0, np.abs(x))
     k = np.arange(-spec.node_count - 2, 3)  # offsets from x_i in steps of q
     near = np.abs(q) < h
     g = np.empty(x.size)

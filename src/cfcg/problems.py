@@ -119,8 +119,7 @@ def tikhonov_run_objective(prob, frac):
     def grad(x):
         return frac_gradient_quadratic(stacked.A, b_eff, x, frac)
 
-    name = f"tikhonov[n={prob.A.shape[0]},gamma={prob.gamma:g}]"
-    return Objective(fn, frac_gradient=grad, name=name), target, abar
+    return Objective(fn, frac_gradient=grad), target, abar
 
 
 def benchmark_fn(fn_id, z):
@@ -211,5 +210,4 @@ def mlp_objective(spec, target, data_seed):
                 out[cols] = np.mean((pred - tv[:, None]) ** 2, axis=0)
         return out
 
-    return Objective(fn, eval_line=eval_line,
-                     name=f"mlp[{target},H={H},P={spec.train_points}]")
+    return Objective(fn, eval_line=eval_line)

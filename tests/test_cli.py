@@ -193,9 +193,9 @@ class TestSerialization:
 
 
 MLP_TINY = dataclasses.replace(
-    ExperimentConfig(), experiment="single", problem="mlp-h2",
+    ExperimentConfig(), problem="mlp-h2",
     hidden_units=4, train_points=12, node_count=12, max_iter=30,
-    beta="FR", write_traces=True)
+    beta_kinds=("FR",), write_traces=True)
 
 # golden file -> (runner, config, trace file the run writes)
 GOLDEN_TRACES = {
@@ -206,10 +206,10 @@ GOLDEN_TRACES = {
         (run_example1, dataclasses.replace(TINY, write_traces=True),
          "trace_example1_g1_CFSD_FR.csv"),
     "golden_trace_single_mlp_h2_cfcg_fr.csv":
-        (run_single, dataclasses.replace(MLP_TINY, solver="CFCG"),
+        (run_single, dataclasses.replace(MLP_TINY, solvers=("CFCG",)),
          "trace_single.csv"),
     "golden_trace_single_mlp_h2_cfsd.csv":
-        (run_single, dataclasses.replace(MLP_TINY, solver="CFSD"),
+        (run_single, dataclasses.replace(MLP_TINY, solvers=("CFSD",)),
          "trace_single.csv"),
 }
 
@@ -291,6 +291,11 @@ class TestExample2Runner:
         sd = next(r for r in rows if r.solver == "CFSD")
         assert sd.step_param == max(self.CONFIG.sd_grid)
 
+    def test_solvers_select_the_cells(self):
+        config = dataclasses.replace(self.CONFIG, trials=1, solvers=("CFSD",))
+        rows = run_example2(config)
+        assert [(r.solver, r.beta) for r in rows] == [("CFSD", "")]
+
     def test_single_trial_mean_equals_run(self):
         config = dataclasses.replace(self.CONFIG, trials=1, beta_kinds=("FR",))
         rows = run_example2(config)
@@ -319,8 +324,7 @@ class TestExample2Runner:
         config = dataclasses.replace(self.CONFIG, trials=1, beta_kinds=("FR",),
                                      solvers=("CFCG",), write_traces=True)
         run_example2(config, tmp_path / "e2")
-        run_single(dataclasses.replace(config, problem="mlp-h2", solver="CFCG",
-                                       beta="FR"), tmp_path / "s")
+        run_single(dataclasses.replace(config, problem="mlp-h2"), tmp_path / "s")
         sweep = read_csv_rows(tmp_path / "e2" / "trace_example2_a0.9_h2_CFCGFR_t0.csv")
         single = read_csv_rows(tmp_path / "s" / "trace_single.csv")
         assert sweep[0] == single[0]
@@ -329,8 +333,8 @@ class TestExample2Runner:
 
 class TestSingleRunner:
     def test_example1_single_and_trace(self, tmp_path):
-        config = dataclasses.replace(TINY, experiment="single", gamma=1.0,
-                                     solver="CFCG", beta="FR",
+        config = dataclasses.replace(TINY, gamma_grid=(1.0,),
+                                     solvers=("CFCG",), beta_kinds=("FR",),
                                      write_traces=True)
         row, report = run_single(config, tmp_path)
         assert row.status == "Converged"
@@ -342,10 +346,10 @@ class TestSingleRunner:
         config = TINY
         e1 = Example1Config(seed=config.seed, m=config.m, n=config.n)
         prob, x0, c = gen_example1(e1)
-        prob = dataclasses.replace(prob, gamma=config.gamma)
+        prob = dataclasses.replace(prob, gamma=config.gamma_grid[0])
         frac = FracParams(config.alpha, config.rho, c)
         objective, target, _ = tikhonov_run_objective(prob, frac)
-        report = cfcg_minimize(objective, x0, frac, config.beta,
+        report = cfcg_minimize(objective, x0, frac, config.beta_kinds[0],
                                ls=config.line_search(),
                                stop=StopCriteria(config.grad_tol, config.max_iter),
                                reference=target, keep_vectors=True)
@@ -357,9 +361,9 @@ class TestSingleRunner:
     @pytest.mark.parametrize("solver", ["CFCG", "CFSD"])
     def test_mlp_problem(self, solver):
         config = dataclasses.replace(
-            ExperimentConfig(), experiment="single", problem="mlp-h2",
+            ExperimentConfig(), problem="mlp-h2",
             hidden_units=4, train_points=12, node_count=12, max_iter=30,
-            solver=solver, beta="PRP", write_traces=False)
+            solvers=(solver,), beta_kinds=("PRP",), write_traces=False)
         row, report = run_single(config)
         assert row.target == "h2"
         assert report.iterations <= 30
@@ -378,7 +382,7 @@ class TestSingleRunner:
 @pytest.mark.parametrize("runner, config", [
     (run_example1, dataclasses.replace(TINY, solvers=("SD",))),
     (run_example2, dataclasses.replace(TestExample2Runner.CONFIG, trials=0)),
-    (run_single, dataclasses.replace(TINY, problem="example1", solver="SD")),
+    (run_single, dataclasses.replace(TINY, problem="example1", solvers=("SD",))),
 ], ids=["example1-solver-unknown", "example2-trials-zero",
         "single-solver-unknown"])
 def test_runner_checks_its_config(runner, config):
@@ -457,6 +461,24 @@ class TestMainEntry:
                      id="config-beta-unknown"),
         pytest.param(["example1", "--config", "solvers = CFCG,SD\n"],
                      id="solver-unknown"),
+        pytest.param(["single", "--problem", "example1", "--tol", "nan",
+                      "--max-iter", "5"], id="tol-nan"),
+        pytest.param(["example1", "--config", "rho = nan\n"], id="rho-nan"),
+        pytest.param(["example1", "--config", "rho = inf\n"], id="rho-inf"),
+        pytest.param(["single", "--problem", "mlp-h1", "--max-iter", "1",
+                      "--config", "f_decrease_tol = nan\n"],
+                     id="f-decrease-tol-nan"),
+        pytest.param(["single", "--problem", "mlp-h1", "--solver", "CFSD",
+                      "--max-iter", "1", "--config", "sd_grid = 0.1,nan\n"],
+                     id="sd-grid-nan"),
+        pytest.param(["example1", "--config", "beta_kinds =\n"],
+                     id="beta-kinds-empty"),
+        pytest.param(["single", "--config", "solvers =\n"],
+                     id="solvers-empty"),
+        pytest.param(["example1", "--config", "gamma_grid =\n"],
+                     id="gamma-grid-empty"),
+        pytest.param(["example2", "--config", "targets =\n"],
+                     id="targets-empty"),
     ])
     def test_bad_beta_flag(self, argv, tmp_path, capsys):
         if "--config" in argv:  # the value is the file's content
@@ -466,6 +488,34 @@ class TestMainEntry:
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_single_is_the_first_sweep_cell(self, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("m = 20\nn = 20\n")
+        main(["example1", "--config", str(cfg), "--out", str(tmp_path / "e1")])
+        main(["single", "--problem", "example1", "--config", str(cfg),
+              "--out", str(tmp_path / "s")])
+        sweep = read_csv_rows(tmp_path / "e1" / "results.csv")[0]
+        single = read_csv_rows(tmp_path / "s" / "results.csv")[0]
+        assert (sweep.pop("experiment"), single.pop("experiment")) == (
+            "example1", "single")
+        del sweep["wall_ms"], single["wall_ms"]
+        assert single == sweep
+        assert (single["solver"], single["beta"], single["gamma"]) == (
+            "CFCG", "FR", "0.5")
+        assert ((tmp_path / "s" / "trace_single.csv").read_bytes()
+                == (tmp_path / "e1" / "trace_example1_g0.5_CFCG_FR.csv")
+                .read_bytes())
+
+    def test_single_reads_the_sweep_grids(self, tmp_path):
+        cfg = tmp_path / "grids.cfg"
+        cfg.write_text("m = 20\nn = 20\nwrite_traces = false\n"
+                       "solvers = CFSD\nbeta_kinds = CD\ngamma_grid = 2.0\n")
+        main(["single", "--problem", "example1", "--config", str(cfg),
+              "--out", str(tmp_path / "o")])
+        row = read_csv_rows(tmp_path / "o" / "results.csv")[0]
+        assert (row["solver"], row["beta"], row["gamma"]) == ("CFSD", "", "2")
+        assert float(row["step_param"]) == ExperimentConfig().sd_step
 
     @pytest.mark.parametrize("m, n", [(12, 8), (8, 12)])
     def test_example1_runs_when_m_differs_from_n(self, m, n, tmp_path):

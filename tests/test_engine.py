@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cfcg.engine import (BetaKind, DenominatorUnderflow, FixedStep, GridStep,
+from cfcg.engine import (BetaKind, DenominatorUnderflow, GridStep,
                          LineSearchError, LineSearchParams, Objective,
                          RunStatus, StopCriteria, armijo_wolfe_search,
                          beta_value, cfcg_minimize, cfsd_minimize, direction,
@@ -82,6 +84,27 @@ class TestBetaValue:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             beta_value("XX", np.ones(2), np.ones(2), np.ones(2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
+       scale=st.floats(-3.0, 3.0), ratio=st.floats(-2.0, 2.0))
+def test_beta_kinds_agree_after_exact_steepest_step(seed, n, scale, ratio):
+    # with g_k orthogonal to g_prev and d_prev = -g_prev, the five
+    # numerators all reduce to |g_k|^2 and the denominators to
+    # |g_prev|^2 (Hager & Zhang, "A survey of nonlinear conjugate gradient
+    # methods", 2006)
+    rng = np.random.default_rng(seed)
+    u, v = rng.normal(size=(2, n))
+    v_perp = v - (v @ u) / (u @ u) * u
+    assume(np.linalg.norm(v_perp) >= 0.1 * np.linalg.norm(v))
+    g_prev = 10.0**scale * u
+    g_k = 10.0**(scale + ratio) * v_perp
+    values = {kind: beta_value(kind, g_k, g_prev, -g_prev) for kind in BetaKind}
+    fr = values[BetaKind.FR]
+    assert fr > 0.0
+    for kind, value in values.items():
+        assert value == pytest.approx(fr, rel=1e-8, abs=0.0), kind
 
 
 class TestDirection:
@@ -328,7 +351,7 @@ class TestCfsd:
         A, rng = seeded_spd(8, 6, cond=5.0)
         frac = FracParams(0.9, 0.1, np.zeros(6))
         obj, _, _ = quadratic_objective(A, rng.normal(size=6), frac)
-        rep = cfsd_minimize(obj, rng.uniform(1, 4, 6), frac, FixedStep(0.05),
+        rep = cfsd_minimize(obj, rng.uniform(1, 4, 6), frac, GridStep((0.05,)),
                             stop=StopCriteria(1e-6, 5000))
         assert rep.status is RunStatus.CONVERGED
         assert rep.objective_evals == rep.iterations + 1
@@ -336,7 +359,7 @@ class TestCfsd:
     def test_already_stationary(self):
         frac = classical_params(2)
         obj, _, _ = quadratic_objective(np.eye(2), -np.ones(2), frac)
-        rep = cfsd_minimize(obj, np.ones(2), frac, FixedStep(0.1))
+        rep = cfsd_minimize(obj, np.ones(2), frac, GridStep((0.1,)))
         assert rep.iterations == 0
         assert rep.objective_evals == 1
 
@@ -364,26 +387,28 @@ class TestCfsd:
         # no line search chose the steps, so there is nothing to recheck
         frac = classical_params(2)
         obj, _, _ = quadratic_objective(np.eye(2), np.zeros(2), frac)
-        rep = cfsd_minimize(obj, np.ones(2), frac, FixedStep(0.1),
+        rep = cfsd_minimize(obj, np.ones(2), frac, GridStep((0.1,)),
                             stop=StopCriteria(1e-12, 3), keep_vectors=True)
         assert len(rep.xs) == 4 and rep.gs is None and rep.ds is None
         with pytest.raises(ValueError):
             recheck_armijo_wolfe(rep, obj, obj.frac_gradient, LineSearchParams())
 
     def test_divergence_guard(self):
-        # a hook pointing uphill makes every fixed step increase f
+        # a hook pointing uphill makes every grid step increase f, for a
+        # fixed step and for a multi-entry grid alike
         obj = Objective(lambda x: 0.5 * float(x @ x),
                         frac_gradient=lambda x: -np.asarray(x))
         frac = classical_params(2)
-        rep = cfsd_minimize(obj, np.ones(2), frac, FixedStep(0.1),
-                            stop=StopCriteria(1e-8, 10000))
-        assert rep.status is RunStatus.MAX_ITER
-        assert rep.stop_reason == "divergence"
-        assert rep.iterations == 50
+        for etas in ((0.1,), (0.1, 0.05)):
+            rep = cfsd_minimize(obj, np.ones(2), frac, GridStep(etas),
+                                stop=StopCriteria(1e-8, 10000))
+            assert rep.status is RunStatus.MAX_ITER
+            assert rep.stop_reason == "divergence"
+            assert rep.iterations == 50
 
     def test_step_rule_validation(self):
         with pytest.raises(ValueError):
-            FixedStep(0.0)
+            GridStep((0.0,))
         with pytest.raises(ValueError):
             GridStep(())
         with pytest.raises(ValueError):
@@ -392,7 +417,7 @@ class TestCfsd:
 
 @pytest.mark.parametrize("solve", [
     lambda obj, x0, frac: cfcg_minimize(obj, x0, frac, "FR"),
-    lambda obj, x0, frac: cfsd_minimize(obj, x0, frac, FixedStep(0.1)),
+    lambda obj, x0, frac: cfsd_minimize(obj, x0, frac, GridStep((0.1,))),
 ], ids=["CFCG", "CFSD"])
 def test_non_finite_start_stops_at_once(solve):
     # before the guard CFCG spent 60 line-search trials and CFSD all of
@@ -415,7 +440,7 @@ def test_non_finite_mid_run_stops_before_divergence_streak():
                     frac_gradient=lambda x: -1e100 * np.asarray(x))
     frac = classical_params(2)
     with np.errstate(over="ignore"):
-        rep = cfsd_minimize(obj, np.ones(2), frac, FixedStep(1.0),
+        rep = cfsd_minimize(obj, np.ones(2), frac, GridStep((1.0,)),
                             stop=StopCriteria(1e-8, 10000))
     assert rep.status is RunStatus.MAX_ITER
     assert rep.stop_reason == "non-finite"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfcg.fraccalc import (FracParams, QuadratureSpec, _unit_rule,
+from cfcg.fraccalc import (FD_STEP, FracParams, QuadratureSpec, _unit_rule,
                            caputo_deriv_1d, frac_gradient_general,
                            frac_gradient_quadratic, gamma_coeff, taylor_coeff)
 from cfcg.problems import MlpSpec, mlp_init, mlp_lower_terminal, mlp_objective
@@ -60,8 +60,6 @@ class TestQuadratureSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(node_count=1)
-        with pytest.raises(ValueError):
-            QuadratureSpec(fd_step=0.0)
 
     def test_frac_params_validation(self):
         with pytest.raises(ValueError):
@@ -254,12 +252,12 @@ class TestGeneralGradient:
     def test_continuous_at_the_terminal(self):
         # as x[1] - c[1] -> 0 from either side the value approaches the one
         # on the terminal (the central difference, pinned below) linearly,
-        # down to that difference's roundoff (about eps |f| / fd_step)
+        # down to that difference's roundoff (about eps |f| / FD_STEP)
         f = self.mixed_cubic
         c = np.array([0.0, 0.3, -1.0])
         x = np.array([1.2, 0.3, -1.7])
         params = FracParams(0.8, 0.2, c)
-        spec = QuadratureSpec(node_count=16, fd_step=1e-5)
+        spec = QuadratureSpec(node_count=16)
         at = frac_gradient_general(f, x, params, spec)[1]
         for delta in 10.0 ** -np.arange(3, 13):
             for side in (1.0, -1.0):
@@ -279,9 +277,9 @@ class TestGeneralGradient:
         f = self.mixed_cubic
         c = np.array([0.0, 0.3, -1.0])
         x = np.array([1.2, 0.3, -1.7])
-        spec = QuadratureSpec(node_count=16, fd_step=1e-5)
+        spec = QuadratureSpec(node_count=16)
         got = frac_gradient_general(f, x, FracParams(0.8, 0.2, c), spec)
-        h = spec.fd_step * max(1.0, abs(x[1]))
+        h = FD_STEP * max(1.0, abs(x[1]))
         up, down = x.copy(), x.copy()
         up[1] += h
         down[1] -= h
@@ -292,7 +290,7 @@ class TestGeneralGradient:
     def test_line_evaluator_gives_the_plain_gradient(self):
         # the two evaluators round f differently in the last bit; the
         # stencils divide that by the grid step (its square in the rho
-        # term), which is |x_i - c_i| / N, not fd_step
+        # term), which is |x_i - c_i| / N, not FD_STEP
         spec = MlpSpec(hidden_units=6, train_points=20, trials=1)
         obj = mlp_objective(spec, "h2", data_seed=5)
         quad = QuadratureSpec(node_count=16)
@@ -337,9 +335,9 @@ class TestGeneralGradient:
         c = np.array([0.0, 0.3, -1.0])
         x = np.array([1.2, 0.3 + 4e-5, -1.7])
         params = FracParams(0.8, 0.2, c)
-        spec = QuadratureSpec(node_count=16, fd_step=1e-5)
+        spec = QuadratureSpec(node_count=16)
         got = frac_gradient_general(f, x, params, spec)
-        h = spec.fd_step * max(1.0, abs(x[1]))
+        h = FD_STEP * max(1.0, abs(x[1]))
         assert abs(x[1] - c[1]) < spec.node_count * h
         up, down = x.copy(), x.copy()
         up[1] += h
@@ -363,7 +361,7 @@ class TestGeneralGradient:
     def test_accuracy_on_a_small_network(self):
         # worst norm-relative error of the N = 32 gradient against N = 2048
         # over the three targets, two starts and three (alpha, rho).  Exact
-        # inner derivatives (three samples per node at step fd_step) give
+        # inner derivatives (three samples per node at step FD_STEP) give
         # 4.80e-4 worst here, all of it the product-trapezoid rule's own
         # error; the bound allows the fourth-order stencils 5% on top
         spec = MlpSpec(hidden_units=6, train_points=20, trials=1)
@@ -431,3 +429,23 @@ def test_general_classical_limit(x, c, node_count):
                                 QuadratureSpec(node_count))
     want = 3.0 * x**2 + np.array([x[1], x[0], -math.cos(x[2])])
     assert np.all(np.abs(got - want) <= 1e-4 * np.maximum(np.abs(want), 1.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       rho_share=st.floats(0.0, 1.0))
+def test_quadratic_classical_limit(seed, n, rho_share):
+    # alpha -> 1 and rho -> 0 together: with 1 - alpha = eps and
+    # 0 <= rho <= eps, |gamma| = |rho - eps / (1 + eps)| <= eps, so the
+    # closed form tends to A x + b linearly in eps (1 - alpha rounds to
+    # eps within a relative 1e-7, hence the factor 1.001)
+    rng = np.random.default_rng(seed)
+    A = unit_diag_spd(rng, n) * rng.uniform(0.1, 10.0)
+    b, x, c = rng.normal(size=(3, n))
+    classical = A @ x + b
+    shift = np.linalg.norm(np.sqrt(np.diag(A)) * (x - c))
+    for eps in (1e-3, 1e-6, 1e-9):
+        params = FracParams(1.0 - eps, rho_share * eps, c)
+        got = frac_gradient_quadratic(A, b, x, params)
+        err = np.linalg.norm(got - classical)
+        assert err <= 1.001 * eps * shift + 1e-15 * np.linalg.norm(classical)
