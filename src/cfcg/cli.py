@@ -82,6 +82,10 @@ class ExperimentConfig:
     format: str = "csv"
     write_traces: bool = True
 
+    def __post_init__(self):
+        # the one case rule for beta kinds, from a flag, a file or Python
+        self.beta_kinds = tuple(k.upper() for k in self.beta_kinds)
+
     def line_search(self):
         return LineSearchParams(self.c1, self.c2, self.backtrack_ratio,
                                 self.max_trials)
@@ -446,7 +450,7 @@ _PLAIN_FLAGS = {"seed": "seed", "alpha": "alpha", "rho": "rho",
                 "tol": "grad_tol", "max_iter": "max_iter", "out": "out",
                 "format": "format", "problem": "problem"}
 # comma-separated flags: flag attribute -> (config field, element type)
-_GRID_FLAGS = {"beta": ("beta_kinds", str.upper), "solver": ("solvers", str),
+_GRID_FLAGS = {"beta": ("beta_kinds", str), "solver": ("solvers", str),
                "gamma": ("gamma_grid", float)}
 
 
@@ -483,6 +487,11 @@ def _check_config(config):
         bad = [name for name in names if name not in known]
         if bad:
             raise ConfigError(f"unknown {what}(s): {', '.join(bad)}")
+    for name in ("beta_kinds", "solvers", "gamma_grid", "targets", "alpha_grid"):
+        values = getattr(config, name)
+        if len(set(values)) < len(values):
+            raise ConfigError(f"repeated entries in {name}: "
+                              + _format_value(values))
     if not all(g >= 0.0 for g in config.gamma_grid):
         raise ConfigError("gamma must be nonnegative, got "
                           + _format_value(config.gamma_grid))

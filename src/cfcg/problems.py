@@ -34,8 +34,9 @@ __all__ = [
 
 BENCHMARK_IDS = ("h1", "h2", "h3")
 
-#: most doubles in one (train_points x points) temporary of the MLP line
-#: evaluator, which keeps each under glibc's 128 KiB mmap threshold
+#: most doubles in one (points x train_points) temporary of the MLP line
+#: evaluator's input-side rows, which keeps each under glibc's 128 KiB
+#: mmap threshold
 LINE_CHUNK = 12_000
 
 
@@ -178,36 +179,35 @@ def mlp_objective(spec, target, data_seed):
         return float(np.mean((pred - tv) ** 2))
 
     def eval_line(p, idx, ts):
-        # f(p with p[idx[m]] = ts[m]) for every point m; one hidden-layer
-        # pass for the call, then the points chunk by chunk per parameter
-        # block
+        # f(p with p[idx[m]] = ts[m]) for every point m, from one
+        # hidden-layer pass (hid[j] is unit j over the training points)
+        # and the residual r at p
         ts = np.asarray(ts, dtype=float)
         idx = np.broadcast_to(np.asarray(idx), ts.shape)
         w, b1, v, b2 = p[:H], p[H:2 * H], p[2 * H:3 * H], p[3 * H]
-        hid = np.tanh(np.outer(z, w) + b1)
-        base = (hid @ v + b2)[:, None]
-        block = np.minimum(idx // H, 3)
-        width = max(3, LINE_CHUNK // z.size)
+        hid = np.tanh(np.outer(w, z) + b1[:, None])
+        r = v @ hid + b2 - tv
         out = np.empty(ts.size)
-        for k in range(4):
-            sel = np.flatnonzero(block == k)
-            if not sel.size:
-                continue
-            # even chunks of at most width >= 3 points leave no lone
-            # column, whose mean would be summed pairwise, not row by row
-            for cols in np.array_split(sel, -(-sel.size // width)):
-                j, t = idx[cols] - k * H, ts[cols]
-                # a C-ordered gather keeps the mean's summation order
-                hj = np.take(hid, j, axis=1)
-                if k == 0:
-                    pred = base + v[j] * (np.tanh(np.outer(z, t) + b1[j]) - hj)
-                elif k == 1:
-                    pred = base + v[j] * (np.tanh(z[:, None] * w[j] + t) - hj)
-                elif k == 2:
-                    pred = base + (t - v[j]) * hj
-                else:
-                    pred = base + (t - b2)
-                out[cols] = np.mean((pred - tv[:, None]) ** 2, axis=0)
+        # along v_j, or b2 as a unit fixed at one, f is the quadratic
+        # mean(r**2) + d (2 mean(r hid[j]) + d mean(hid[j]**2)), d = t - p[i]
+        sel = np.flatnonzero(idx >= 2 * H)
+        j, d = idx[sel] - 2 * H, ts[sel] - p[idx[sel]]
+        s1 = np.append(np.mean(hid * r, axis=1), np.mean(r))
+        s2 = np.append(np.mean(hid * hid, axis=1), 1.0)
+        out[sel] = np.mean(r * r) + d * (2.0 * s1[j] + d * s2[j])
+        # along w_j or b1_j one C-ordered (points x train_points) row per
+        # point, chunk by chunk; each row is reduced on its own
+        width = max(1, LINE_CHUNK // z.size)
+        for k in (0, 1):
+            sel = np.flatnonzero(idx // H == k)
+            for cols in (sel[s:s + width] for s in range(0, sel.size, width)):
+                j, t = idx[cols] - k * H, ts[cols, None]
+                a = z * t + b1[j, None] if k == 0 else z * w[j, None] + t
+                np.tanh(a, out=a)
+                a -= hid[j]
+                a *= v[j, None]
+                a += r
+                out[cols] = np.mean(np.square(a, out=a), axis=1)
         return out
 
     return Objective(fn, eval_line=eval_line)

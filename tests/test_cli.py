@@ -479,6 +479,26 @@ class TestMainEntry:
                      id="gamma-grid-empty"),
         pytest.param(["example2", "--config", "targets =\n"],
                      id="targets-empty"),
+        # a repeat would run its cell again and write its trace twice; the
+        # small sizes keep a run that misses the repeat short
+        pytest.param(["example1", "--config",
+                      "m = 8\nn = 8\nsolvers = CFSD,CFSD\n"],
+                     id="solvers-repeated"),
+        pytest.param(["example1", "--beta", "FR,fr", "--config",
+                      "m = 8\nn = 8\ngamma_grid = 1\n"],
+                     id="beta-kinds-repeated-across-case"),
+        pytest.param(["example1", "--gamma", "1,1.0", "--config",
+                      "m = 8\nn = 8\nbeta_kinds = FR\n"],
+                     id="gamma-grid-repeated"),
+        pytest.param(["example2", "--config",
+                      "targets = h1,h1\nhidden_units = 2\ntrain_points = 4\n"
+                      "trials = 1\nmax_iter = 1\nbeta_kinds = FR\n"],
+                     id="targets-repeated"),
+        pytest.param(["example2", "--config",
+                      "alpha_grid = 0.5,0.5\ntargets = h1\nhidden_units = 2\n"
+                      "train_points = 4\ntrials = 1\nmax_iter = 1\n"
+                      "beta_kinds = FR\n"],
+                     id="alpha-grid-repeated"),
     ])
     def test_bad_beta_flag(self, argv, tmp_path, capsys):
         if "--config" in argv:  # the value is the file's content
@@ -488,6 +508,26 @@ class TestMainEntry:
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_beta_kinds_case_from_flag_and_file(self, tmp_path):
+        # one case rule, whether the kinds come from --beta or a file
+        cfg = tmp_path / "lower.cfg"
+        cfg.write_text("m = 8\nn = 8\ngamma_grid = 1\nwrite_traces = false\n"
+                       "beta_kinds = fr,Prp\n")
+        runs = {"file": [], "flag": ["--beta", "fr,Prp"],
+                "upper": ["--beta", "FR,PRP"]}
+        rows = {}
+        for name, flags in runs.items():
+            out = tmp_path / name
+            assert main(["example1", "--config", str(cfg), "--out", str(out)]
+                        + flags) in (0, 1)
+            rows[name] = read_csv_rows(out / "results.csv")
+            for row in rows[name]:
+                del row["wall_ms"]
+        assert rows["file"] == rows["flag"] == rows["upper"]
+        assert [r["beta"] for r in rows["file"] if r["solver"] == "CFCG"] == [
+            "FR", "PRP"]
+        assert ExperimentConfig(beta_kinds=("hs",)).beta_kinds == ("HS",)
 
     def test_single_is_the_first_sweep_cell(self, tmp_path):
         cfg = tmp_path / "small.cfg"

@@ -10,7 +10,10 @@ from cfcg.engine import (BetaKind, DenominatorUnderflow, GridStep,
                          RunStatus, StopCriteria, armijo_wolfe_search,
                          beta_value, cfcg_minimize, cfsd_minimize, direction,
                          recheck_armijo_wolfe)
-from cfcg.fraccalc import FracParams, QuadratureSpec, frac_gradient_quadratic
+from cfcg.fraccalc import (FracParams, QuadratureSpec, frac_gradient_general,
+                           frac_gradient_quadratic)
+from cfcg.problems import (BENCHMARK_IDS, MlpSpec, mlp_init,
+                           mlp_lower_terminal, mlp_objective)
 
 
 def quadratic_objective(A, b, frac, center=None):
@@ -460,3 +463,43 @@ class TestObjectiveCounters:
         assert obj.objective_evals == 7
         obj.reset_counters()
         assert obj.objective_evals == 0 and obj.gradient_evals == 0
+
+
+# every accepted step of a kept-vector CFCG run meets both line-search
+# conditions when replayed: the replay evaluates the same f and gradient at
+# the same points, so the slack is not negative, not even by rounding
+
+
+@pytest.mark.parametrize("kind", list(BetaKind))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 3),
+       alpha=st.floats(0.5, 0.95), rho=st.floats(0.0, 0.3))
+def test_accepted_steps_recheck_on_networks(kind, seed, hidden, alpha, rho):
+    # small networks take the quadrature path; most of these runs end in
+    # LineSearchFailure within six iterations, after a few accepted steps
+    spec = MlpSpec(hidden_units=hidden, train_points=20, trials=1)
+    obj = mlp_objective(spec, BENCHMARK_IDS[seed % 3], data_seed=seed)
+    frac = FracParams(alpha, rho, mlp_lower_terminal(spec))
+    quad, ls = QuadratureSpec(node_count=16), LineSearchParams()
+    rep = cfcg_minimize(obj, mlp_init(spec, seed), frac, kind, ls=ls,
+                        stop=StopCriteria(1e-12, 6), quad=quad,
+                        keep_vectors=True)
+    slack = recheck_armijo_wolfe(
+        rep, obj, lambda x: frac_gradient_general(obj, x, frac, quad), ls)
+    assert slack >= 0.0
+
+
+@pytest.mark.parametrize("kind", list(BetaKind))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
+       cond=st.floats(1.0, 1e3), alpha=st.floats(0.3, 0.95),
+       rho=st.floats(0.0, 0.3))
+def test_accepted_steps_recheck_on_quadratics(kind, seed, n, cond, alpha, rho):
+    A, rng = seeded_spd(seed, n, cond)
+    frac = FracParams(alpha, rho, rng.uniform(-1.0, 1.0, n))
+    obj, _, abar = quadratic_objective(A, rng.normal(size=n), frac)
+    assume(np.linalg.eigvalsh(abar)[0] > 0.0)
+    ls = LineSearchParams()
+    rep = cfcg_minimize(obj, rng.uniform(1.0, 10.0, n), frac, kind, ls=ls,
+                        stop=StopCriteria(1e-8, 200), keep_vectors=True)
+    assert recheck_armijo_wolfe(rep, obj, obj.frac_gradient, ls) >= 0.0

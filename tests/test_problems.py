@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfcg.fraccalc import FracParams
 from cfcg.problems import (BENCHMARK_IDS, LINE_CHUNK, Example1Config,
@@ -214,3 +216,35 @@ class TestMlpObjective:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             MlpSpec(hidden_units=0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 8),
+       train=st.integers(30, 240))
+def test_line_evaluator_property(seed, hidden, train):
+    # every block gets more than one and under three input-side chunks'
+    # worth of points, interleaved in one call, at random abscissae
+    spec = MlpSpec(hidden_units=hidden, train_points=train, trials=1)
+    obj = mlp_objective(spec, BENCHMARK_IDS[seed % 3], data_seed=seed)
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-2.0, 2.0, spec.param_dim)
+    H, width = hidden, LINE_CHUNK // train
+    blocks = [np.arange(H), np.arange(H, 2 * H), np.arange(2 * H, 3 * H),
+              np.array([3 * H])]
+    idx = rng.permutation(np.concatenate([
+        rng.choice(b, rng.integers(width + 1, 3 * width)) for b in blocks]))
+    ts = rng.uniform(-3.0, 3.0, idx.size)
+    fast = obj.eval_line(p, idx, ts)
+    slow = []
+    for i, t in zip(idx, ts):
+        q = p.copy()
+        q[i] = t
+        slow.append(obj.eval_uncounted(q))
+    assert np.allclose(fast, slow, rtol=1e-12, atol=0.0)
+    # a point's value does not depend on what it is batched with, nor on
+    # where in the batch it sits
+    perm = rng.permutation(idx.size)[:idx.size // 2]
+    assert np.array_equal(obj.eval_line(p, idx[perm], ts[perm]), fast[perm])
+    for m in perm[:5]:
+        assert np.array_equal(obj.eval_line(p, idx[m], ts[m:m + 1]),
+                              fast[m:m + 1])
