@@ -83,8 +83,9 @@ class ExperimentConfig:
     write_traces: bool = True
 
     def __post_init__(self):
-        # the one case rule for beta kinds, from a flag, a file or Python
+        # one case rule for beta kinds and solvers, wherever they come from
         self.beta_kinds = tuple(k.upper() for k in self.beta_kinds)
+        self.solvers = tuple(s.upper() for s in self.solvers)
 
     def line_search(self):
         return LineSearchParams(self.c1, self.c2, self.backtrack_ratio,
@@ -162,8 +163,12 @@ class ConfigError(ValueError):
 
 
 def load_config(path):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -183,7 +188,7 @@ def load_config(path):
 def save_config(config, path):
     lines = [f"{f.name} = {_format_value(getattr(config, f.name))}"
              for f in dataclasses.fields(config)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +308,26 @@ def _tikhonov_problem(config, prob, x0, frac, gamma):
                     GridStep((config.sd_step,)), reference=target)
 
 
-def _example1_cell(config, setup, solver, beta, out_dir=None, trace_name=None):
-    """One example1 cell; setup() returns the problem of the cell's gamma
-    (built by the first cell that calls it).  perfbench's tracer times each
-    call of this function as one cell, setup included."""
-    return _run_cell(config, setup(), solver, beta, out_dir, trace_name)
+def _example1_cell(config, experiment, setup, solver, beta, gamma, out_dir,
+                   trace_name):
+    """One example1 cell as (row, report); setup() returns the problem of
+    the cell's gamma (built by the first cell that calls it).  A cell that
+    fails, setup included, gets an Error(...) row and no report.
+    perfbench's tracer times each call of this function as one cell."""
+    try:
+        report, wall, step = _run_cell(config, setup(), solver, beta, out_dir,
+                                       trace_name)
+    except Exception as exc:  # noqa: BLE001 - row records the failure
+        nan = float("nan")
+        return ResultRow(
+            experiment=experiment, solver=solver, beta=beta, alpha=config.alpha,
+            rho=config.rho, gamma=gamma, seed=config.seed, target="",
+            trials_completed=0, status=f"Error({type(exc).__name__})",
+            stop_reason=str(exc), iterations=nan, objective_evals=nan,
+            gradient_evals=nan, final_grad_norm=nan, final_dist=nan,
+            step_param=nan, wall_ms=0.0), None
+    return _row_from_report(report, config, experiment, solver, beta, gamma,
+                            step, wall), report
 
 
 def run_example1(config, out_dir=None):
@@ -323,22 +343,8 @@ def run_example1(config, out_dir=None):
         for beta_kind in config.beta_kinds:
             for solver in config.solvers:
                 name = f"trace_example1_g{gamma:g}_{solver}_{beta_kind}.csv"
-                try:
-                    report, wall, step = _example1_cell(
-                        config, setup, solver, beta_kind, out_dir, name)
-                except Exception as exc:  # noqa: BLE001 - row records the failure
-                    nan = float("nan")
-                    rows.append(ResultRow(
-                        experiment="example1", solver=solver, beta=beta_kind,
-                        alpha=config.alpha, rho=config.rho, gamma=gamma,
-                        seed=config.seed, target="", trials_completed=0,
-                        status=f"Error({type(exc).__name__})", stop_reason=str(exc),
-                        iterations=nan, objective_evals=nan, gradient_evals=nan,
-                        final_grad_norm=nan, final_dist=nan, step_param=nan,
-                        wall_ms=0.0))
-                    continue
-                rows.append(_row_from_report(report, config, "example1", solver,
-                                             beta_kind, gamma, step, wall))
+                rows.append(_example1_cell(config, "example1", setup, solver,
+                                           beta_kind, gamma, out_dir, name)[0])
     return rows
 
 
@@ -395,23 +401,21 @@ def run_example2(config, out_dir=None):
 
 
 def run_single(config, out_dir=None):
-    """The first cell of the configured sweep; returns (row, report)."""
+    """The first cell of the configured sweep; returns (row, report).  On
+    example1 a failed cell gives the sweep's Error(...) row and no report."""
     _check_config(config)
     solver, beta = config.solvers[0], config.beta_kinds[0]
-    target = config.problem[4:] if config.problem.startswith("mlp-") else ""
-    gamma = float("nan") if target else config.gamma_grid[0]
     if config.problem == "example1":
+        gamma = config.gamma_grid[0]
         prob, x0, frac = _example1_instance(config)
-        cell = functools.partial(_example1_cell, config, functools.partial(
-            _tikhonov_problem, config, prob, x0, frac, gamma))
-    else:
-        cell = functools.partial(_run_cell, config, _mlp_problem(
-            config, config.alpha, target, 0))
-
-    report, wall, step = cell(solver, beta, out_dir, "trace_single.csv")
-    row = _row_from_report(report, config, "single", solver, beta, gamma,
-                           step, wall, target)
-    return row, report
+        setup = functools.partial(_tikhonov_problem, config, prob, x0, frac, gamma)
+        return _example1_cell(config, "single", setup, solver, beta, gamma,
+                              out_dir, "trace_single.csv")
+    target = config.problem[4:]
+    report, wall, step = _run_cell(config, _mlp_problem(
+        config, config.alpha, target, 0), solver, beta, out_dir, "trace_single.csv")
+    return _row_from_report(report, config, "single", solver, beta, float("nan"),
+                            step, wall, target), report
 
 
 # ---------------------------------------------------------------------------
@@ -426,44 +430,28 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("example1", "example2", "single"):
         p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None,
-                       help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--rho", type=float, default=None)
-        p.add_argument("--beta", type=str, default=None,
-                       help="comma-separated beta kinds (FR,CD,DY,PRP,HS)")
-        p.add_argument("--gamma", type=str, default=None,
-                       help="comma-separated gamma grid")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", type=str, default=None)
-        if name == "single":
-            p.add_argument("--problem", type=str, default=None)
-            p.add_argument("--solver", type=str, default=None)
+        p.add_argument("--config", help="flat key=value config file")
+        for flag, field in _FLAGS.items():
+            if name == "single" or flag not in ("problem", "solver"):
+                p.add_argument(f"--{flag}", help=f"sets {field}")
     return parser
 
 
-# flags copied as given: flag attribute -> config field
-_PLAIN_FLAGS = {"seed": "seed", "alpha": "alpha", "rho": "rho",
-                "tol": "grad_tol", "max_iter": "max_iter", "out": "out",
-                "format": "format", "problem": "problem"}
-# comma-separated flags: flag attribute -> (config field, element type)
-_GRID_FLAGS = {"beta": ("beta_kinds", str), "solver": ("solvers", str),
-               "gamma": ("gamma_grid", float)}
+# flag -> the config field it sets; --problem and --solver are single's only
+_FLAGS = {"seed": "seed", "alpha": "alpha", "rho": "rho", "beta": "beta_kinds",
+          "gamma": "gamma_grid", "tol": "grad_tol", "max-iter": "max_iter",
+          "out": "out", "format": "format", "problem": "problem",
+          "solver": "solvers"}
 
 
 def _apply_overrides(config, args):
+    """The config with each given flag's text read as a file value is."""
     updates = {}
-    for flag, name in _PLAIN_FLAGS.items():
-        if getattr(args, flag, None) is not None:
-            updates[name] = getattr(args, flag)
-    for flag, (name, elem) in _GRID_FLAGS.items():
-        text = getattr(args, flag, None)
+    for flag, name in _FLAGS.items():
+        text = getattr(args, flag.replace("-", "_"), None)
         if text is not None:
             try:
-                updates[name] = tuple(elem(v.strip()) for v in text.split(","))
+                updates[name] = _parse_value(text, _FIELD_KINDS[name])
             except ValueError as exc:
                 raise ConfigError(f"--{flag}: {exc}") from exc
     return dataclasses.replace(config, **updates)
@@ -510,26 +498,28 @@ def _check_config(config):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else ExperimentConfig()
+        config = (ExperimentConfig() if args.config is None
+                  else load_config(args.config))
         config = _apply_overrides(config, args)
         out_dir = Path(config.out)
-        if args.command == "example1":
+        # a file on the out path would fail only after every cell has run;
+        # not in _check_config, as Python callers pass their own out_dir
+        if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
+            raise ConfigError(f"out: {out_dir} is not a directory")
+        if args.command == "single":
+            rows = [run_single(config, out_dir)[0]]
+        elif args.command == "example1":
             rows = run_example1(config, out_dir)
-        elif args.command == "example2":
-            rows = run_example2(config, out_dir)
         else:
-            row, _ = run_single(config, out_dir)
-            rows = [row]
+            rows = run_example2(config, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     write_rows(rows, out_dir / f"results.{config.format}", config.format)
     print(f"{len(rows)} result row(s) -> {out_dir}/results.{config.format}")
-    all_converged = all(r.status == RunStatus.CONVERGED.value for r in rows)
-    return 0 if all_converged else 1
+    return 0 if all(r.status == RunStatus.CONVERGED.value for r in rows) else 1
 
 
 if __name__ == "__main__":

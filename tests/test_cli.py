@@ -499,11 +499,22 @@ class TestMainEntry:
                       "train_points = 4\ntrials = 1\nmax_iter = 1\n"
                       "beta_kinds = FR\n"],
                      id="alpha-grid-repeated"),
+        # every flag value is read as a file value is
+        pytest.param(["example1", "--seed", "x"], id="seed-not-an-int"),
+        pytest.param(["example1", "--max-iter", "1.5"], id="max-iter-not-an-int"),
+        pytest.param(["example1", "--alpha", "abc"], id="alpha-not-a-number"),
+        # a config file that cannot be read: None leaves the path missing
+        pytest.param(["example1", "--config", None], id="config-missing"),
+        pytest.param(["example1", "--config", b"seed = \xff\n"],
+                     id="config-not-utf8"),
     ])
     def test_bad_beta_flag(self, argv, tmp_path, capsys):
         if "--config" in argv:  # the value is the file's content
             cfg = tmp_path / "bad.cfg"
-            cfg.write_text(argv[-1])
+            if isinstance(argv[-1], bytes):
+                cfg.write_bytes(argv[-1])
+            elif argv[-1] is not None:
+                cfg.write_text(argv[-1])
             argv = argv[:-1] + [str(cfg)]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -528,6 +539,46 @@ class TestMainEntry:
         assert [r["beta"] for r in rows["file"] if r["solver"] == "CFCG"] == [
             "FR", "PRP"]
         assert ExperimentConfig(beta_kinds=("hs",)).beta_kinds == ("HS",)
+        # the same rule for solvers
+        cfg.write_text("m = 8\nn = 8\nmax_iter = 5\nwrite_traces = false\n")
+        runs = {"flag": ["--solver", "cfsd"], "upper": ["--solver", "CFSD"],
+                "file": ["--config", str(tmp_path / "solvers.cfg")]}
+        (tmp_path / "solvers.cfg").write_text(cfg.read_text() + "solvers = cfsd\n")
+        for name, flags in runs.items():
+            out = tmp_path / f"solver-{name}"
+            assert main(["single", "--problem", "example1", "--config", str(cfg),
+                         "--out", str(out)] + flags) in (0, 1)
+            rows[name] = read_csv_rows(out / "results.csv")
+            del rows[name][0]["wall_ms"]
+        assert rows["file"] == rows["flag"] == rows["upper"]
+        assert rows["file"][0]["solver"] == "CFSD"
+        assert ExperimentConfig(solvers=("cfcg",)).solvers == ("CFCG",)
+
+    def test_single_setup_failure_is_an_error_row(self, tmp_path):
+        # rho = -5 makes the iteration matrix indefinite: single records the
+        # setup's error as the sweep does, and exits 1
+        flags = ["--alpha", "0.1", "--rho", "-5", "--gamma", "0.5",
+                 "--beta", "FR", "--config", str(self._tiny_cfg(tmp_path))]
+        assert main(["example1", "--out", str(tmp_path / "e1")] + flags) == 1
+        assert main(["single", "--problem", "example1",
+                     "--out", str(tmp_path / "s")] + flags) == 1
+        sweep = read_csv_rows(tmp_path / "e1" / "results.csv")[0]
+        single = read_csv_rows(tmp_path / "s" / "results.csv")[0]
+        assert (sweep.pop("experiment"), single.pop("experiment")) == (
+            "example1", "single")
+        assert single == sweep
+        assert single["status"] == "Error(ArithmeticError)"
+        assert not (tmp_path / "s" / "trace_single.csv").exists()
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_that_is_a_file(self, out, tmp_path, capsys):
+        (tmp_path / "file").write_text("keep\n")
+        argv = ["single", "--problem", "example1", "--out", str(tmp_path / out),
+                "--config", str(self._tiny_cfg(tmp_path))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out: ") and err.count("\n") == 1
+        assert (tmp_path / "file").read_text() == "keep\n"
 
     def test_single_is_the_first_sweep_cell(self, tmp_path):
         cfg = tmp_path / "small.cfg"
