@@ -5,16 +5,14 @@ from .engine import (BetaKind, DenominatorUnderflow, GridStep, IterRecord,
                      RunStatus, StopCriteria, armijo_wolfe_search, beta_value,
                      cfcg_minimize, cfsd_minimize, direction,
                      recheck_armijo_wolfe)
-from .fraccalc import (FracParams, QuadratureSpec, caputo_deriv_1d,
-                       frac_gradient_general, frac_gradient_quadratic,
-                       gamma_coeff, taylor_coeff)
+from .fraccalc import (FracParams, QuadratureSpec, frac_gradient_general,
+                       frac_gradient_quadratic, gamma_coeff)
 from .problems import (Example1Config, MlpSpec, benchmark_fn, gen_example1,
                        mlp_init, mlp_lower_terminal, mlp_objective,
                        stacked_problem, tikhonov_run_objective)
 from .tikhonov import (LeastSquaresProblem, SingularSystemError,
                        abar_matrix, build_quadratic, check_Abar_pd,
-                       regularized_matrix, regularized_objective,
-                       tikhonov_solution)
+                       regularized_matrix, tikhonov_solution)
 
 __version__ = "0.1.0"
 
@@ -25,10 +23,9 @@ __all__ = [
     "QuadratureSpec", "RunReport", "RunStatus", "SingularSystemError",
     "StopCriteria", "abar_matrix",
     "armijo_wolfe_search", "benchmark_fn", "beta_value", "build_quadratic",
-    "caputo_deriv_1d", "cfcg_minimize", "cfsd_minimize", "check_Abar_pd",
+    "cfcg_minimize", "cfsd_minimize", "check_Abar_pd",
     "direction", "frac_gradient_general", "frac_gradient_quadratic",
     "gamma_coeff", "gen_example1", "mlp_init", "mlp_lower_terminal",
     "mlp_objective", "recheck_armijo_wolfe", "regularized_matrix",
-    "regularized_objective", "stacked_problem", "taylor_coeff",
-    "tikhonov_run_objective", "tikhonov_solution",
+    "stacked_problem", "tikhonov_run_objective", "tikhonov_solution",
 ]

@@ -17,8 +17,6 @@ __all__ = [
     "FracParams",
     "QuadratureSpec",
     "gamma_coeff",
-    "taylor_coeff",
-    "caputo_deriv_1d",
     "frac_gradient_quadratic",
     "frac_gradient_general",
 ]
@@ -75,18 +73,10 @@ class QuadratureSpec:
 
 
 def gamma_coeff(alpha, rho):
-    """rho - (1 - alpha) / (2 - alpha)."""
+    """rho - (1 - alpha) / (2 - alpha), one less than the modified Taylor
+    coefficient Gamma(2-alpha)Gamma(2)/Gamma(3-alpha) + rho."""
     _check_alpha(alpha)
     return rho - (1.0 - alpha) / (2.0 - alpha)
-
-
-def taylor_coeff(alpha, rho):
-    """Gamma(2-a)Gamma(2)/Gamma(3-a) + rho, simplified to 1/(2-a) + rho.
-
-    Exceeds ``gamma_coeff`` by exactly one for every (alpha, rho).
-    """
-    _check_alpha(alpha)
-    return 1.0 / (2.0 - alpha) + rho
 
 
 def _unit_rule(alpha, node_count):
@@ -111,25 +101,6 @@ def _unit_rule(alpha, node_count):
     w = np.append(m0 - m1, 0.0)
     w[1:] += m1
     return s, w
-
-
-def caputo_deriv_1d(derivative_sampler, a, x, alpha, spec):
-    """Caputo derivative of order alpha in (0,1) at x with lower terminal a.
-
-    Evaluates 1/Gamma(1-alpha) * int_a^x (x-t)^(-alpha) f'(t) dt where
-    ``derivative_sampler`` supplies f'.  The sampler is taken at the
-    node_count+1 uniform abscissae and interpolated linearly; the kernel
-    moments are exact, which makes the rule exact whenever f' is linear.
-    """
-    _check_alpha(alpha)
-    if a > x:
-        raise ValueError(f"lower terminal {a} exceeds evaluation point {x}")
-    if a == x:
-        return 0.0
-    s, w = _unit_rule(alpha, spec.node_count)
-    vals = np.asarray([derivative_sampler(t) for t in a + (x - a) * s],
-                      dtype=float)
-    return (x - a) ** (1.0 - alpha) * float(w @ vals) / math.gamma(2.0 - alpha)
 
 
 def frac_gradient_quadratic(A, b, x, params):

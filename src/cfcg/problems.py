@@ -39,6 +39,11 @@ BENCHMARK_IDS = ("h1", "h2", "h3")
 #: mmap threshold
 LINE_CHUNK = 12_000
 
+#: largest |activation| over the training points of a hidden unit whose b1
+#: lines the line evaluator takes by the tanh addition formula; it keeps
+#: that formula's denominator 1 + hid_j tanh(t - b1_j) at or above 1/64
+CALM_HID = 1.0 - 1.0 / 64.0
+
 
 @dataclass(frozen=True)
 class Example1Config:
@@ -195,19 +200,32 @@ def mlp_objective(spec, target, data_seed):
         s1 = np.append(np.mean(hid * r, axis=1), np.mean(r))
         s2 = np.append(np.mean(hid * hid, axis=1), 1.0)
         out[sel] = np.mean(r * r) + d * (2.0 * s1[j] + d * s2[j])
-        # along w_j or b1_j one C-ordered (points x train_points) row per
-        # point, chunk by chunk; each row is reduced on its own
+        # along w_j or b1_j one C-ordered (points x train_points) row of the
+        # new residual per point, chunk by chunk, each reduced on its own:
+        # v_j tanh(a) + u_j with u = r - v hid.  Along b1_j of a calm unit,
+        # v_j (tanh(a) - hid_j) is s_j tau / (1 + hid_j tau) with
+        # s = v (1 - hid**2) and tau = tanh(t - b1_j): one tanh per point
+        u = r - v[:, None] * hid
+        s = v[:, None] * (1.0 - hid * hid)
+        unit, block = idx % H, idx // H
+        calm = (block == 1) & (np.max(np.abs(hid), axis=1) <= CALM_HID)[unit]
         width = max(1, LINE_CHUNK // z.size)
-        for k in (0, 1):
-            sel = np.flatnonzero(idx // H == k)
-            for cols in (sel[s:s + width] for s in range(0, sel.size, width)):
-                j, t = idx[cols] - k * H, ts[cols, None]
-                a = z * t + b1[j, None] if k == 0 else z * w[j, None] + t
-                np.tanh(a, out=a)
-                a -= hid[j]
-                a *= v[j, None]
-                a += r
-                out[cols] = np.mean(np.square(a, out=a), axis=1)
+        for kind, group in enumerate((block == 0, (block == 1) & ~calm, calm)):
+            sel = np.flatnonzero(group)
+            for cols in (sel[m:m + width] for m in range(0, sel.size, width)):
+                j, t = unit[cols], ts[cols, None]
+                if kind == 2:
+                    tau = np.tanh(t - b1[j, None])
+                    a = hid[j] * tau
+                    a += 1.0
+                    np.divide(s[j] * tau, a, out=a)
+                    a += r
+                else:
+                    a = z * t + b1[j, None] if kind == 0 else z * w[j, None] + t
+                    np.tanh(a, out=a)
+                    a *= v[j, None]
+                    a += u[j]
+                out[cols] = np.vecdot(a, a) / z.size
         return out
 
     return Objective(fn, eval_line=eval_line)

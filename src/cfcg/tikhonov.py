@@ -22,7 +22,6 @@ __all__ = [
     "regularized_matrix",
     "abar_matrix",
     "tikhonov_solution",
-    "regularized_objective",
     "check_Abar_pd",
     "solve_spd",
 ]
@@ -109,20 +108,11 @@ def solve_spd(M, rhs):
 
 
 def tikhonov_solution(prob):
-    """x_bar + (XX' + gamma Rbar Rbar')^{-1} X (y - X' x_bar)."""
+    """x_bar + (XX' + gamma Rbar Rbar')^{-1} X (y - X' x_bar), the minimizer
+    of ||X'x - y||^2 + gamma ||Rbar'(x - x_bar)||^2."""
     M = regularized_matrix(prob)
     rhs = prob.X @ (prob.y - prob.X.T @ prob.x_bar)
     return prob.x_bar + solve_spd(M, rhs)
-
-
-def regularized_objective(prob, x):
-    """||X'x - y||^2 + gamma ||Rbar'(x - x_bar)||^2."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != prob.x_bar.shape:
-        raise ValueError(f"x has shape {x.shape}, expected {prob.x_bar.shape}")
-    resid = prob.X.T @ x - prob.y
-    reg = prob.r_bar * (x - prob.x_bar)
-    return float(resid @ resid + prob.gamma * (reg @ reg))
 
 
 def check_Abar_pd(prob, frac):

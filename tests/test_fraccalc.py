@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfcg.fraccalc import (FD_STEP, FracParams, QuadratureSpec, _unit_rule,
-                           caputo_deriv_1d, frac_gradient_general,
-                           frac_gradient_quadratic, gamma_coeff, taylor_coeff)
+                           frac_gradient_general, frac_gradient_quadratic,
+                           gamma_coeff)
 from cfcg.problems import MlpSpec, mlp_init, mlp_lower_terminal, mlp_objective
 
 
@@ -19,6 +19,8 @@ def caputo_power_exact(x, power, alpha):
 
 
 class TestScalarCoefficients:
+    # the modified Taylor coefficient Gamma(2-a)Gamma(2)/Gamma(3-a) + rho
+    # is gamma_coeff + 1
     def test_hand_values(self):
         assert gamma_coeff(0.9, 0.1) == pytest.approx(0.1 - 0.1 / 1.1, abs=1e-15)
         assert gamma_coeff(0.9, 0.1) == pytest.approx(1.0 / 110.0, abs=1e-15)
@@ -26,7 +28,7 @@ class TestScalarCoefficients:
 
     def test_classical_limit(self):
         assert gamma_coeff(1.0 - 1e-12, 0.3) == pytest.approx(0.3, abs=1e-11)
-        assert taylor_coeff(1.0 - 1e-12, 0.0) == pytest.approx(1.0, abs=1e-11)
+        assert gamma_coeff(1.0 - 1e-12, 0.0) + 1.0 == pytest.approx(1.0, abs=1e-11)
 
     def test_taylor_gamma_ratio_form(self):
         # the Gamma-function form must agree with the simplified one
@@ -36,24 +38,25 @@ class TestScalarCoefficients:
             rho = rng.uniform(-2, 2)
             via_gamma = (math.gamma(2 - alpha) * math.gamma(2)
                          / math.gamma(3 - alpha) + rho)
-            assert taylor_coeff(alpha, rho) == pytest.approx(via_gamma, rel=1e-14)
+            assert gamma_coeff(alpha, rho) + 1.0 == pytest.approx(via_gamma,
+                                                                  rel=1e-14)
 
     def test_taylor_value(self):
-        assert taylor_coeff(0.9, 0.1) == pytest.approx(1.0 / 1.1 + 0.1, abs=1e-15)
+        assert gamma_coeff(0.9, 0.1) + 1.0 == pytest.approx(1.0 / 1.1 + 0.1,
+                                                            abs=1e-15)
 
     def test_difference_is_one(self):
         rng = np.random.default_rng(123)
         for _ in range(100):
             alpha = rng.uniform(1e-3, 1 - 1e-3)
             rho = rng.uniform(-5, 5)
-            assert abs(taylor_coeff(alpha, rho) - gamma_coeff(alpha, rho) - 1.0) < 1e-12
+            taylor = 1.0 / (2.0 - alpha) + rho
+            assert abs(taylor - gamma_coeff(alpha, rho) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.2])
     def test_domain_errors(self, alpha):
         with pytest.raises(ValueError):
             gamma_coeff(alpha, 0.1)
-        with pytest.raises(ValueError):
-            taylor_coeff(alpha, 0.1)
 
 
 class TestQuadratureSpec:
@@ -66,24 +69,26 @@ class TestQuadratureSpec:
             FracParams(1.5, 0.0, np.zeros(2))
 
 
+def rule_caputo(fprime, a, x, alpha, node_count):
+    """Order-alpha Caputo derivative at x, lower terminal a, from
+    _unit_rule's weights: (x-a)^(1-alpha) / Gamma(2-alpha) * sum w_j f'(t_j)."""
+    s, w = _unit_rule(alpha, node_count)
+    return ((x - a) ** (1.0 - alpha) * float(w @ fprime(a + (x - a) * s))
+            / math.gamma(2.0 - alpha))
+
+
 class TestCaputo1d:
-    SPEC = QuadratureSpec(node_count=200)
+    N = 200
 
     def test_identity_map(self):
         # f(t) = t, f' = 1: exact value x^(1-alpha)/Gamma(2-alpha)
-        got = caputo_deriv_1d(lambda t: 1.0, 0.0, 2.0, 0.5, self.SPEC)
+        got = rule_caputo(np.ones_like, 0.0, 2.0, 0.5, self.N)
         assert got == pytest.approx(caputo_power_exact(2.0, 1, 0.5), rel=1e-12)
         assert got == pytest.approx(2.0 ** 0.5 / math.gamma(1.5), rel=1e-12)
 
-    def test_constant_function(self):
-        assert caputo_deriv_1d(lambda t: 0.0, -1.0, 3.0, 0.3, self.SPEC) == 0.0
-
-    def test_degenerate_interval(self):
-        assert caputo_deriv_1d(lambda t: 1.0, 1.0, 1.0, 0.5, self.SPEC) == 0.0
-
     def test_square_is_exact(self):
         # linear f' is reproduced exactly by the product-trapezoid rule
-        got = caputo_deriv_1d(lambda t: 2.0 * t, 0.0, 1.0, 0.9, self.SPEC)
+        got = rule_caputo(lambda t: 2.0 * t, 0.0, 1.0, 0.9, self.N)
         exact = caputo_power_exact(1.0, 2, 0.9)
         assert exact == pytest.approx(2.0 / math.gamma(2.1), rel=1e-14)
         assert got == pytest.approx(exact, rel=1e-12)
@@ -94,25 +99,16 @@ class TestCaputo1d:
         exact = caputo_power_exact(1.0, 3, 0.9)
         errors = []
         for n in (25, 50, 100, 200):
-            got = caputo_deriv_1d(lambda t: 3.0 * t * t, 0.0, 1.0, 0.9,
-                                  QuadratureSpec(node_count=n))
+            got = rule_caputo(lambda t: 3.0 * t * t, 0.0, 1.0, 0.9, n)
             errors.append(abs(got - exact))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= 0.5 * coarse
-
-    def test_reversed_interval_rejected(self):
-        with pytest.raises(ValueError):
-            caputo_deriv_1d(lambda t: 1.0, 2.0, 1.0, 0.5, self.SPEC)
-
-    def test_alpha_domain(self):
-        with pytest.raises(ValueError):
-            caputo_deriv_1d(lambda t: 1.0, 0.0, 1.0, 1.0, self.SPEC)
 
     def test_normalizer_matches_identity_quadrature(self):
         # the per-coordinate normalizer used by the gradient equals the
         # quadrature of the identity map to 1e-3 relative
         for alpha, a, x in [(0.9, 0.1, 1.3), (0.4, -1.0, 0.5)]:
-            quad = caputo_deriv_1d(lambda t: 1.0, a, x, alpha, self.SPEC)
+            quad = rule_caputo(np.ones_like, a, x, alpha, self.N)
             closed = (x - a) ** (1.0 - alpha) / math.gamma(2.0 - alpha)
             assert quad == pytest.approx(closed, rel=1e-3)
 

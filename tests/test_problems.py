@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfcg.fraccalc import FracParams
-from cfcg.problems import (BENCHMARK_IDS, LINE_CHUNK, Example1Config,
-                           MlpSpec, benchmark_fn, gen_example1, mlp_init,
-                           mlp_lower_terminal, mlp_objective,
-                           mlp_param_bounds, stacked_problem,
+from cfcg.problems import (BENCHMARK_IDS, CALM_HID, LINE_CHUNK,
+                           Example1Config, MlpSpec, benchmark_fn,
+                           gen_example1, mlp_init, mlp_lower_terminal,
+                           mlp_objective, mlp_param_bounds, stacked_problem,
                            tikhonov_run_objective)
 from cfcg.tikhonov import tikhonov_solution
 
@@ -248,3 +249,45 @@ def test_line_evaluator_property(seed, hidden, train):
     for m in perm[:5]:
         assert np.array_equal(obj.eval_line(p, idx[m], ts[m:m + 1]),
                               fast[m:m + 1])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(2, 8),
+       train=st.integers(30, 240), scale=st.floats(3.0, 40.0))
+def test_line_evaluator_saturated_weights(seed, hidden, train, scale):
+    # parameters up to +-scale: half the hidden units keep |w|, |b1| <= 0.5
+    # and stay calm, the others have |b1| >= 3 and saturate, so one call
+    # takes b1 lines both by the addition formula and by tanh rows
+    spec = MlpSpec(hidden_units=hidden, train_points=train, trials=1)
+    obj = mlp_objective(spec, BENCHMARK_IDS[seed % 3], data_seed=seed)
+    rng = np.random.default_rng(seed)
+    H, width = hidden, LINE_CHUNK // train
+    small = rng.permutation(np.arange(H) % 2 == 0)
+    w = np.where(small, 0.5, scale) * rng.uniform(-1.0, 1.0, H)
+    b1 = np.where(small, rng.uniform(-0.5, 0.5, H),
+                  rng.choice([-1.0, 1.0], H) * rng.uniform(3.0, scale, H))
+    p = np.concatenate([w, b1, rng.uniform(-scale, scale, H + 1)])
+    z = mlp_dataset(spec, seed)
+    calm = np.max(np.abs(np.tanh(np.outer(w, z) + b1[:, None])), axis=1) <= CALM_HID
+    assert np.array_equal(calm, small)
+    blocks = [np.arange(H), np.arange(H, 2 * H), np.arange(2 * H, 3 * H),
+              np.array([3 * H])]
+    idx = rng.permutation(np.concatenate([
+        rng.choice(b, rng.integers(1, 2 * width)) for b in blocks]))
+    ts = rng.uniform(-scale, scale, idx.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = obj.eval_line(p, idx, ts)
+        perm = rng.permutation(idx.size)[:idx.size // 2]
+        half = obj.eval_line(p, idx[perm], ts[perm])
+        single = [obj.eval_line(p, idx[m], ts[m:m + 1]) for m in perm[:5]]
+    slow = []
+    for i, t in zip(idx, ts):
+        q = p.copy()
+        q[i] = t
+        slow.append(obj.eval_uncounted(q))
+    assert np.all(np.isfinite(fast))
+    assert np.allclose(fast, slow, rtol=1e-12, atol=0.0)
+    assert np.array_equal(half, fast[perm])
+    for m, value in zip(perm[:5], single):
+        assert np.array_equal(value, fast[m:m + 1])

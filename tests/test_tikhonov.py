@@ -3,8 +3,8 @@ import pytest
 
 from cfcg.fraccalc import FracParams
 from cfcg.tikhonov import (SingularSystemError, abar_matrix, build_quadratic,
-                           check_Abar_pd, regularized_matrix,
-                           regularized_objective, solve_spd, tikhonov_solution)
+                           check_Abar_pd, regularized_matrix, solve_spd,
+                           tikhonov_solution)
 
 
 def normal_equation_oracle(prob):
@@ -15,6 +15,14 @@ def normal_equation_oracle(prob):
     M = A + prob.gamma * R2
     rhs = prob.X @ prob.y + prob.gamma * R2 @ prob.x_bar
     return np.linalg.solve(M, rhs)
+
+
+def regularized_objective(prob, x):
+    """||X'x - y||^2 + gamma ||Rbar'(x - x_bar)||^2, which
+    tikhonov_solution minimizes."""
+    resid = prob.X.T @ x - prob.y
+    reg = prob.r_bar * (x - prob.x_bar)
+    return float(resid @ resid + prob.gamma * (reg @ reg))
 
 
 def analytic_reg_gradient(prob, x):
@@ -102,18 +110,23 @@ class TestTikhonovSolution:
 
 class TestRegularizedObjective:
     def test_zero_at_consistent_anchor(self):
+        # y = X' x_bar zeroes both terms at x_bar, so x_bar is the solution
         rng = np.random.default_rng(4)
         X = rng.normal(size=(3, 3))
         x_bar = rng.normal(size=3)
         prob = build_quadratic(X, X.T @ x_bar, gamma=2.0,
                                x_bar=x_bar)
         assert regularized_objective(prob, x_bar) == pytest.approx(0.0, abs=1e-20)
+        assert np.allclose(tikhonov_solution(prob), x_bar, rtol=0, atol=1e-12)
 
     def test_gamma_zero_is_plain_residual(self):
         prob = random_problem(5, 4, gamma=0.0)
         x = np.random.default_rng(6).normal(size=4)
         expected = float(np.sum((prob.X.T @ x - prob.y) ** 2))
         assert regularized_objective(prob, x) == pytest.approx(expected, rel=1e-14)
+        # the solution satisfies the plain normal equations X (X'x - y) = 0
+        sol = tikhonov_solution(prob)
+        assert np.linalg.norm(prob.X @ (prob.X.T @ sol - prob.y)) <= 1e-10
 
     def test_fd_gradient_matches_analytic(self):
         prob = random_problem(7, 6, gamma=1.3)
@@ -128,11 +141,6 @@ class TestRegularizedObjective:
                      - regularized_objective(prob, x - e)) / (2 * h)
         ana = analytic_reg_gradient(prob, x)
         assert np.linalg.norm(fd - ana) / np.linalg.norm(ana) <= 1e-5
-
-    def test_dimension_mismatch(self):
-        prob = random_problem(3, 4)
-        with pytest.raises(ValueError):
-            regularized_objective(prob, np.ones(5))
 
 
 class TestAbar:
