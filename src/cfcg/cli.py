@@ -424,12 +424,13 @@ def run_single(config, out_dir=None):
 
 @functools.cache
 def _build_parser():
+    # no abbreviated flags: --m would set max_iter, though m is a file key
     parser = argparse.ArgumentParser(
-        prog="cfcg-bench",
+        prog="cfcg-bench", allow_abbrev=False,
         description="fractional conjugate-gradient benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("example1", "example2", "single"):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value config file")
         for flag, field in _FLAGS.items():
             if name == "single" or flag not in ("problem", "solver"):

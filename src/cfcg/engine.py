@@ -134,6 +134,10 @@ class Objective:
     optional vectorized ``eval_line``) so counters reflect only the
     solver-level evaluations.  ``frac_gradient`` is an optional analytic
     hook used by quadratic problems in place of quadrature.
+
+    The solvers pass every point they evaluate as a read-only array that
+    owns its data, so ``fn`` and ``frac_gradient`` may share work done at
+    the same array object (problems.tikhonov_run_objective does).
     """
 
     def __init__(self, fn, frac_gradient=None, eval_line=None):
@@ -263,7 +267,8 @@ def armijo_wolfe_search(f, grad, x, d, g, params, f_x=None):
     fractional gradient at the trial point.  The gradient is evaluated
     only for candidates that already pass the decrease test, and the
     accepted candidate's f and gradient ride along in the result so the
-    caller never re-evaluates them.
+    caller never re-evaluates them.  Trial points are read-only (see
+    Objective).
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -275,6 +280,7 @@ def armijo_wolfe_search(f, grad, x, d, g, params, f_x=None):
     eta = 1.0
     for j in range(params.max_trials):
         x_new = x + eta * d
+        x_new.flags.writeable = False
         f_new = f.eval(x_new)
         if f_new <= f_x + params.c1 * eta * gd:
             g_new = grad(x_new)
@@ -325,7 +331,8 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     search = isinstance(rule, LineSearchParams)
     etas = None if search else rule.etas
 
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.array(x0, dtype=float)
+    x.flags.writeable = False
     f_x = f.eval(x)
     g = grad(x)
     g_prev = d_prev = None
@@ -384,6 +391,8 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
             g_new = res.g_new
         else:
             points = [x + e * d for e in etas]
+            for z in points:
+                z.flags.writeable = False
             trial_fs = [f.eval(z) for z in points]
             # np.argmin costs ~5 us a call, too much for fixed-step runs
             j = 0 if len(etas) == 1 else int(np.argmin(trial_fs))
@@ -419,8 +428,9 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     gn = _norm(g)
     trace.append(IterRecord(k, f_x, gn, math.nan, math.nan, math.nan,
                             math.nan, False, dist(x)))
+    # the iterate is a read-only trial point; the caller gets its own copy
     return RunReport(status, reason, k, f.objective_evals,
-                     f.gradient_evals, x, gn, trace, xs, gs, ds, steps)
+                     f.gradient_evals, x.copy(), gn, trace, xs, gs, ds, steps)
 
 
 def cfcg_minimize(f, x0, frac, kind, ls=None, stop=None, quad=None,

@@ -107,7 +107,15 @@ def tikhonov_run_objective(prob, frac):
     closed-form regularized solution, so the run's fractional gradient
     vanishes exactly there and the minimum value is zero.  Returns
     (objective, target, abar); raises ArithmeticError when the iteration
-    matrix is not positive definite.
+    matrix is not positive definite, and ValueError when the closed-form
+    fractional gradient rejects the stacked system.
+
+    With the b below, that closed form is abar (x - target), so a point
+    costs one product: fn takes g = abar e with e = x - target and returns
+    e'g / 2.  The gradient reuses that g once, if it gets the very array
+    fn saw last and the array is read-only and owns its data, as the
+    solvers' points are (see engine.Objective); any other x gets a fresh
+    product.  Both raise ValueError for an x not shaped like target.
     """
     stacked = stacked_problem(prob)
     if not check_Abar_pd(stacked, frac):
@@ -115,15 +123,30 @@ def tikhonov_run_objective(prob, frac):
             f"iteration matrix not positive definite at gamma={prob.gamma}")
     abar = abar_matrix(stacked, frac)
     target = tikhonov_solution(prob)
-    # b making frac_gradient_quadratic(A_stacked, b, x) == abar (x - target)
+    # b making frac_gradient_quadratic(A_stacked, b, x) == abar (x - target);
+    # one call runs that closed form's checks for the whole run
     b_eff = -(abar @ target) + frac.gamma * stacked.r_bar * frac.c
+    frac_gradient_quadratic(stacked.A, b_eff, target, frac)
+    seen = seen_g = None  # fn's last point and its g, until grad takes g
+
+    def error(x):
+        if x.shape != target.shape:
+            raise ValueError(
+                f"x has shape {x.shape}, expected {target.shape}")
+        return x - target
 
     def fn(x):
-        e = x - target
-        return 0.5 * float(e @ (abar @ e))
+        nonlocal seen, seen_g
+        e = error(x)
+        seen, seen_g = x, abar @ e
+        return 0.5 * float(e @ seen_g)
 
     def grad(x):
-        return frac_gradient_quadratic(stacked.A, b_eff, x, frac)
+        nonlocal seen, seen_g
+        if x is seen and not x.flags.writeable and x.flags.owndata:
+            g, seen, seen_g = seen_g, None, None
+            return g
+        return abar @ error(x)
 
     return Objective(fn, frac_gradient=grad), target, abar
 

@@ -1,0 +1,37 @@
+"""Rewrite the five golden files in this directory from the runs that the
+tests compare them with.
+
+    python tests/data/regen_golden.py
+
+Each trace comes from its entry in ``test_cli.GOLDEN_TRACES`` and
+``golden_results.csv`` from ``run_example1(test_cli.TINY)``, so the files
+are made by the same runner and configuration that the tests use.  Run it
+only for a deliberate change of the numerics, then read ``git diff
+tests/data`` and record in CHANGES.md which files moved and by how much.
+"""
+
+from __future__ import annotations
+
+import sys
+import tempfile
+from pathlib import Path
+
+DATA = Path(__file__).resolve().parent
+sys.path[:0] = [str(DATA.parents[1] / "src"), str(DATA.parent)]
+
+from cfcg.cli import run_example1, write_rows  # noqa: E402
+from test_cli import GOLDEN_TRACES, TINY  # noqa: E402
+
+
+def main():
+    write_rows(run_example1(TINY), DATA / "golden_results.csv", "csv")
+    print("golden_results.csv")
+    for golden, (runner, config, written) in sorted(GOLDEN_TRACES.items()):
+        with tempfile.TemporaryDirectory() as out:
+            runner(config, out)
+            (DATA / golden).write_bytes((Path(out) / written).read_bytes())
+        print(golden)
+
+
+if __name__ == "__main__":
+    main()

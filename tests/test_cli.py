@@ -274,6 +274,20 @@ class TestExample1Runner:
         assert [(r.solver, r.beta) for r in rows] == [
             ("CFCG", "FR"), ("CFSD", ""), ("CFCG", "CD"), ("CFSD", "")]
 
+    def test_failed_setup_fails_each_cell_of_its_gamma(self):
+        # rho = -5 leaves the iteration matrix indefinite at gamma 0.5 but
+        # not at 40: each cell of gamma 0.5 records the same error
+        rows = run_example1(dataclasses.replace(
+            TINY, alpha=0.1, rho=-5.0, gamma_grid=(0.5, 40.0), max_iter=20,
+            beta_kinds=("FR", "CD")))
+        failed = [r for r in rows if r.gamma == 0.5]
+        assert len(failed) == 4
+        assert {(r.status, r.stop_reason) for r in failed} == {(
+            "Error(ArithmeticError)",
+            "iteration matrix not positive definite at gamma=0.5")}
+        assert not any(r.status.startswith("Error") for r in rows
+                       if r.gamma == 40.0)
+
 
 class TestExample2Runner:
     CONFIG = dataclasses.replace(
@@ -519,6 +533,22 @@ class TestMainEntry:
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        # argparse took these for --max-iter 2 and --tol 5; m is a file key
+        pytest.param(["example1", "--m", "2"], id="m-abbreviation"),
+        pytest.param(["example1", "--t", "5"], id="tol-abbreviation"),
+        pytest.param(["single", "--prob", "example1"],
+                     id="problem-abbreviation"),
+        pytest.param(["example1", "--wibble", "1"], id="unknown-flag"),
+    ])
+    def test_flag_not_in_the_table(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_beta_kinds_case_from_flag_and_file(self, tmp_path):
         # one case rule, whether the kinds come from --beta or a file

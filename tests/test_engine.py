@@ -436,6 +436,33 @@ def test_non_finite_start_stops_at_once(solve):
     assert len(rep.trace) == 1 and rep.trace[0].is_terminal
 
 
+@pytest.mark.parametrize("solve", [
+    lambda obj, x0, frac: cfcg_minimize(obj, x0, frac, "FR"),
+    lambda obj, x0, frac: cfsd_minimize(obj, x0, frac, GridStep((0.1, 0.05))),
+], ids=["CFCG", "CFSD"])
+def test_points_are_read_only_and_final_x_is_not(solve):
+    # what lets an objective share work between f and its gradient at one
+    # array (problems.tikhonov_run_objective); the caller's x0 and the
+    # final iterate stay the caller's to change
+    seen = []
+    frac = classical_params(3)
+    obj, _, _ = quadratic_objective(np.diag([1.0, 2.0, 3.0]), -np.ones(3),
+                                    frac)
+    fn = obj.fn
+
+    def spy(x):
+        seen.append((x.flags.writeable, x.flags.owndata))
+        return fn(x)
+
+    obj.fn = spy
+    x0 = np.full(3, 2.0)
+    rep = solve(obj, x0, frac)
+    assert rep.iterations > 0
+    assert seen and all(not writeable and owned for writeable, owned in seen)
+    assert x0.flags.writeable and rep.final_x.flags.writeable
+    rep.final_x[0] = 0.0
+
+
 def test_non_finite_mid_run_stops_before_divergence_streak():
     # the fixed step multiplies x by about 1e100: at the second point f is
     # 1e200 and still finite, but the gradient norm overflows

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfcg.engine import Objective, RunStatus, cfcg_minimize
 from cfcg.fraccalc import (FD_STEP, FracParams, QuadratureSpec, _unit_rule,
                            frac_gradient_general, frac_gradient_quadratic,
                            gamma_coeff)
@@ -375,6 +376,61 @@ class TestGeneralGradient:
                     worst = max(worst, np.linalg.norm(coarse - fine)
                                 / np.linalg.norm(fine))
         assert worst <= 1.05 * 4.80e-4
+
+
+class TestKinkedObjective:
+    """f(x) = sum |x_i - k_i| + 0.1 ||x||^2, with its kinks k_i between the
+    terminals c_i = -4 and the start x_i = 2; its minimum is at x = k."""
+
+    K = np.random.default_rng(3).uniform(-3.0, 1.5, 8)
+    X = np.full(8, 2.0)
+    C = np.full(8, -4.0)
+
+    @classmethod
+    def f(cls, x):
+        return float(np.sum(np.abs(x - cls.K)) + 0.1 * (x @ x))
+
+    @classmethod
+    def exact_gradient(cls, alpha, rho):
+        """[D^a f + rho (x - c) D^(1+a) f] / D^a I at X in closed form.  For
+        c < k < x, D^a |t - k| = (2 (x-k)^(1-a) - (x-c)^(1-a)) / G(2-a) and
+        D^(1+a) |t - k| = 2 (x-k)^(-a) / G(1-a); the 0.1 t^2 term and the
+        normalizer D^a I = (x-c)^(1-a) / G(2-a) are powers of x - c."""
+        a, span, gap = alpha, cls.X - cls.C, cls.X - cls.K
+        g1, g2, g3 = (math.gamma(j - a) for j in (1, 2, 3))
+        d_a = ((2.0 * gap ** (1 - a) - span ** (1 - a)) / g2
+               + 0.2 * (cls.X * span ** (1 - a) / g2
+                        - (1 - a) * span ** (2 - a) / g3))
+        d_1a = 2.0 * gap ** -a / g1 + 0.2 * span ** (1 - a) / g2
+        return (d_a + rho * span * d_1a) / (span ** (1 - a) / g2)
+
+    @pytest.mark.parametrize("alpha, rho, error_32", [
+        (0.9, 0.1, 2.7522e-5), (0.5, 0.3, 1.3700e-4), (0.7, 0.0, 2.8592e-4)])
+    def test_quadrature_error(self, alpha, rho, error_32):
+        # the stencils smear each kink over a few nodes, and the rho term's
+        # 2 (x-k)^(-a) grows without bound near a kink, yet the rule
+        # converges to the closed form
+        exact = self.exact_gradient(alpha, rho)
+        params = FracParams(alpha, rho, self.C)
+        err = {n: np.linalg.norm(frac_gradient_general(
+            self.f, self.X, params, QuadratureSpec(n)) - exact)
+            / np.linalg.norm(exact) for n in (32, 1024)}
+        assert err[32] <= 1.05 * error_32
+        assert err[1024] <= 1e-6
+
+    @pytest.mark.parametrize("alpha, rho", [(0.9, 0.1), (0.5, 0.3)])
+    def test_cfcg_stops_short_of_the_minimum(self, alpha, rho):
+        # what the README states for non-smooth f: every kind stops in
+        # LineSearchFailure after 3-18 iterations, at f = 2.93-6.92, against
+        # a minimum of 2.475 and f = 30.3 at the start
+        assert 0.1 * float(self.K @ self.K) == pytest.approx(2.4748, abs=1e-4)
+        params = FracParams(alpha, rho, self.C)
+        for kind in ("FR", "CD", "DY", "PRP", "HS"):
+            rep = cfcg_minimize(Objective(self.f), self.X, params, kind,
+                                quad=QuadratureSpec(32))
+            assert rep.status is RunStatus.LINE_SEARCH_FAILURE
+            assert 3 <= rep.iterations <= 18
+            assert 2.9 <= self.f(rep.final_x) <= 7.0
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

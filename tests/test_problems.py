@@ -1,12 +1,13 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfcg.fraccalc import FracParams
+from cfcg.fraccalc import FracParams, frac_gradient_quadratic
 from cfcg.problems import (BENCHMARK_IDS, CALM_HID, LINE_CHUNK,
                            Example1Config, MlpSpec, benchmark_fn,
                            gen_example1, mlp_init, mlp_lower_terminal,
@@ -70,7 +71,6 @@ class TestExample1Generator:
 
 class TestStackedProblem:
     def test_absorbs_regularizer(self):
-        import dataclasses
         prob, _, c = gen_example1(Example1Config(seed=3, m=10, n=10))
         prob = dataclasses.replace(prob, gamma=2.0)
         stacked = stacked_problem(prob)
@@ -82,17 +82,81 @@ class TestStackedProblem:
                            atol=1e-9)
 
     def test_run_objective_vanishes_at_target(self):
-        import dataclasses
-        prob, x0, c = gen_example1(Example1Config(seed=4, m=8, n=8))
-        prob = dataclasses.replace(prob, gamma=1.0)
-        frac = FracParams(0.9, 0.1, c)
-        objective, target, abar = tikhonov_run_objective(prob, frac)
-        assert np.linalg.norm(objective.frac_gradient(target)) < 1e-9
-        assert objective.fn(target) == pytest.approx(0.0, abs=1e-18)
+        objective, target, abar = run_objective()
+        # exactly: the gradient is abar (x - target), fresh or from fn
+        x = target.copy()
+        assert not np.any(objective.frac_gradient(x))
+        x.flags.writeable = False
+        assert objective.fn(x) == 0.0
+        assert not np.any(objective.frac_gradient(x))
         rng = np.random.default_rng(0)
         x = rng.normal(size=8)
         assert np.allclose(objective.frac_gradient(x), abar @ (x - target),
                            atol=1e-9)
+
+
+def run_objective(seed=4, n=8, gamma=1.0, alpha=0.9, rho=0.1, c=None):
+    prob, _, ones = gen_example1(Example1Config(seed=seed, m=n, n=n))
+    frac = FracParams(alpha, rho, ones if c is None else c)
+    return tikhonov_run_objective(dataclasses.replace(prob, gamma=gamma), frac)
+
+
+class TestRunObjective:
+    @pytest.mark.parametrize("shape", [(9,), (1,), (8, 1), ()])
+    def test_wrong_shape(self, shape):
+        # x - target would broadcast each of these
+        objective, _, _ = run_objective()
+        for call in (objective.fn, objective.frac_gradient):
+            with pytest.raises(ValueError, match="shape"):
+                call(np.ones(shape))
+
+    def test_terminals_of_the_wrong_length_fail_at_setup(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            run_objective(c=np.ones(1))
+
+    @pytest.mark.parametrize("change", ["in-place", "through-base",
+                                        "returned-gradient"])
+    def test_gradient_after_a_change_is_fresh(self, change):
+        # grad reuses fn's product only for the read-only array fn saw
+        # (owning its data), and only once
+        objective, target, abar = run_objective()
+        base = target + np.arange(8.0)
+        x = base
+        if change == "through-base":
+            x = base.view()
+            x.flags.writeable = False
+        elif change == "returned-gradient":
+            base.flags.writeable = False
+        objective.fn(x)
+        if change == "returned-gradient":
+            objective.frac_gradient(x)[:] = 0.0
+        else:
+            base[0] += 5.0
+        assert np.array_equal(objective.frac_gradient(x), abar @ (x - target))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       gamma=st.sampled_from((0.5, 1.0, 4.0)), alpha=st.floats(0.05, 0.95),
+       rho=st.floats(0.0, 1.0))
+def test_run_gradient_is_the_closed_form(seed, n, gamma, alpha, rho):
+    try:
+        objective, target, abar = run_objective(seed, n, gamma, alpha, rho)
+    except ArithmeticError:  # iteration matrix not positive definite
+        assume(False)
+    prob, _, c = gen_example1(Example1Config(seed=seed, m=n, n=n))
+    stacked = stacked_problem(dataclasses.replace(prob, gamma=gamma))
+    frac = FracParams(alpha, rho, c)
+    b_eff = -(abar @ target) + frac.gamma * stacked.r_bar * c
+    # drawn as example1 draws its start
+    x = np.random.default_rng(seed).uniform(1.0, 10.0, n)
+    want = frac_gradient_quadratic(stacked.A, b_eff, x, frac)
+    got = objective.frac_gradient(x)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    # the product fn hands on is the one a fresh call makes
+    x.flags.writeable = False
+    assert objective.fn(x) == 0.5 * float((x - target) @ got)
+    assert np.array_equal(objective.frac_gradient(x), got)
 
 
 class TestBenchmarkFunctions:
