@@ -422,10 +422,19 @@ def run_single(config, out_dir=None):
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (unknown flag, missing subcommand) as the one-line
+    ``config error:`` of any invalid input; subparsers inherit it."""
+
+    def error(self, message):
+        print(f"config error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 @functools.cache
 def _build_parser():
     # no abbreviated flags: --m would set max_iter, though m is a file key
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cfcg-bench", allow_abbrev=False,
         description="fractional conjugate-gradient benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)

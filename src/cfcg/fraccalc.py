@@ -103,6 +103,16 @@ def _unit_rule(alpha, node_count):
     return s, w
 
 
+def _folded_weights(w):
+    """The rule's weights w with the fourth-order stencils of f' and f''
+    folded in: sum_j w_j f'(t_j) is y @ a1 / q and sum_j w_j f''(t_j) is
+    y @ a2 / q^2, where y holds f at the N+5 nodes from two ghost nodes
+    before the first rule node to two after the last, q apart."""
+    a1 = np.convolve(w, [1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+    a2 = np.convolve(w, [-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+    return a1, a2
+
+
 def frac_gradient_quadratic(A, b, x, params):
     """Closed-form fractional gradient of 0.5 x'Ax + b'x.
 
@@ -168,6 +178,8 @@ def frac_gradient_general(f, x, params, spec):
     f is sampled once per node, at the N+1 rule nodes and two ghost nodes
     beyond each end (up to 2 |x_i - c_i| / N outside [c_i, x_i]); f' and
     f'' come from fourth-order central stencils there, exact on quadratics.
+    The stencils are folded into the weights, so each of the two sums is
+    one dot product of the coordinate's samples with a fixed vector.
     Where |x_i - c_i| / N < h = FD_STEP * max(1, |x_i|), coordinate i is
     d1 + rho (x_i - c_i) d2 from central differences of step h at x_i,
     which is continuous at x_i = c_i.
@@ -191,12 +203,11 @@ def frac_gradient_general(f, x, params, spec):
     g = np.empty(x.size)
     ii = np.flatnonzero(~near)  # nan steps too, so nan reaches g
     if ii.size:
-        qi = q[ii, None]
-        y = _line_samples(f, x, ii, x[ii, None] + qi * k)
-        lo2, lo1, mid, up1, up2 = (y[:, j:j + w.size] for j in range(5))
-        d1 = (lo2 - up2 + 8.0 * (up1 - lo1)) / (12.0 * qi)
-        d2 = (16.0 * (lo1 + up1) - lo2 - up2 - 30.0 * mid) / (12.0 * qi * qi)
-        g[ii] = ((d1 + params.rho * span[ii, None] * d2) * w).sum(axis=1)
+        qi = q[ii]
+        y = _line_samples(f, x, ii, x[ii, None] + qi[:, None] * k)
+        a1, a2 = _folded_weights(w)
+        g[ii] = (np.vecdot(y, a1) / qi
+                 + params.rho * span[ii] * np.vecdot(y, a2) / (qi * qi))
     ii = np.flatnonzero(near)
     if ii.size:
         hi = h[ii]

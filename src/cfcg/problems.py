@@ -41,7 +41,7 @@ LINE_CHUNK = 12_000
 
 #: largest |activation| over the training points of a hidden unit whose b1
 #: lines the line evaluator takes by the tanh addition formula; it keeps
-#: that formula's denominator 1 + hid_j tanh(t - b1_j) at or above 1/64
+#: that formula's denominator |1 / tanh(t - b1_j) + hid_j| at or above 1/64
 CALM_HID = 1.0 - 1.0 / 64.0
 
 
@@ -216,39 +216,52 @@ def mlp_objective(spec, target, data_seed):
         hid = np.tanh(np.outer(w, z) + b1[:, None])
         r = v @ hid + b2 - tv
         out = np.empty(ts.size)
+        # the kind of each coordinate's line: 0 along w_j, 1 along b1_j of a
+        # saturated unit, 2 along b1_j of a calm one, 3 on the output side
+        line_kind = np.repeat([0, 1, 3], [H, H, H + 1])
+        line_kind[H:2 * H][np.max(np.abs(hid), axis=1) <= CALM_HID] = 2
+        kinds = line_kind[idx]
         # along v_j, or b2 as a unit fixed at one, f is the quadratic
         # mean(r**2) + d (2 mean(r hid[j]) + d mean(hid[j]**2)), d = t - p[i]
-        sel = np.flatnonzero(idx >= 2 * H)
+        sel = np.flatnonzero(kinds == 3)
         j, d = idx[sel] - 2 * H, ts[sel] - p[idx[sel]]
-        s1 = np.append(np.mean(hid * r, axis=1), np.mean(r))
-        s2 = np.append(np.mean(hid * hid, axis=1), 1.0)
-        out[sel] = np.mean(r * r) + d * (2.0 * s1[j] + d * s2[j])
+        s1 = np.append((hid * r).sum(axis=1), r.sum()) / z.size
+        s2 = np.append((hid * hid).sum(axis=1) / z.size, 1.0)
+        out[sel] = (r * r).sum() / z.size + d * (2.0 * s1[j] + d * s2[j])
         # along w_j or b1_j one C-ordered (points x train_points) row of the
         # new residual per point, chunk by chunk, each reduced on its own:
         # v_j tanh(a) + u_j with u = r - v hid.  Along b1_j of a calm unit,
-        # v_j (tanh(a) - hid_j) is s_j tau / (1 + hid_j tau) with
-        # s = v (1 - hid**2) and tau = tanh(t - b1_j): one tanh per point
+        # v_j (tanh(a) - hid_j) is s_j tau / (1 + hid_j tau) = s_j / (mu + hid_j)
+        # with s = v (1 - hid**2), tau = tanh(t - b1_j) and mu = 1 / tau: one
+        # tanh per point.  At t = b1_j mu is +-inf, the quotient 0, the row r
         u = r - v[:, None] * hid
         s = v[:, None] * (1.0 - hid * hid)
-        unit, block = idx % H, idx // H
-        calm = (block == 1) & (np.max(np.abs(hid), axis=1) <= CALM_HID)[unit]
         width = max(1, LINE_CHUNK // z.size)
-        for kind, group in enumerate((block == 0, (block == 1) & ~calm, calm)):
-            sel = np.flatnonzero(group)
-            for cols in (sel[m:m + width] for m in range(0, sel.size, width)):
-                j, t = unit[cols], ts[cols, None]
+        for kind in range(3):
+            sel = np.flatnonzero(kinds == kind)
+            j, t = idx[sel] % H, ts[sel, None]
+            if kind == 2:
+                with np.errstate(divide="ignore"):
+                    mu = 1.0 / np.tanh(t - b1[j, None])
+            else:
+                c1, c2 = (t, b1[j, None]) if kind == 0 else (w[j, None], t)
+                vj = v[j, None]
+            sq = np.empty(sel.size)
+            for m in range(0, sel.size, width):
+                jm, rows = j[m:m + width], slice(m, m + width)
                 if kind == 2:
-                    tau = np.tanh(t - b1[j, None])
-                    a = hid[j] * tau
-                    a += 1.0
-                    np.divide(s[j] * tau, a, out=a)
+                    a = hid[jm]
+                    a += mu[rows]
+                    np.divide(s[jm], a, out=a)
                     a += r
                 else:
-                    a = z * t + b1[j, None] if kind == 0 else z * w[j, None] + t
+                    a = z * c1[rows]
+                    a += c2[rows]
                     np.tanh(a, out=a)
-                    a *= v[j, None]
-                    a += u[j]
-                out[cols] = np.vecdot(a, a) / z.size
+                    a *= vj[rows]
+                    a += u[jm]
+                sq[rows] = np.vecdot(a, a)
+            out[sel] = sq / z.size
         return out
 
     return Objective(fn, eval_line=eval_line)

@@ -5,9 +5,11 @@ tests compare them with.
 
 Each trace comes from its entry in ``test_cli.GOLDEN_TRACES`` and
 ``golden_results.csv`` from ``run_example1(test_cli.TINY)``, so the files
-are made by the same runner and configuration that the tests use.  Run it
-only for a deliberate change of the numerics, then read ``git diff
-tests/data`` and record in CHANGES.md which files moved and by how much.
+are made by the same runner and configuration that the tests use.
+``golden_results.csv`` is rewritten only when a column other than
+``wall_ms``, which the tests skip, would change.  Run it only for a
+deliberate change of the numerics, then read ``git diff tests/data`` and
+record in CHANGES.md which files moved and by how much.
 """
 
 from __future__ import annotations
@@ -20,12 +22,22 @@ DATA = Path(__file__).resolve().parent
 sys.path[:0] = [str(DATA.parents[1] / "src"), str(DATA.parent)]
 
 from cfcg.cli import run_example1, write_rows  # noqa: E402
-from test_cli import GOLDEN_TRACES, TINY  # noqa: E402
+from test_cli import GOLDEN_TRACES, TINY, read_csv_rows  # noqa: E402
+
+
+def _without_wall(path):
+    return [{k: v for k, v in row.items() if k != "wall_ms"}
+            for row in read_csv_rows(path)] if path.exists() else None
 
 
 def main():
-    write_rows(run_example1(TINY), DATA / "golden_results.csv", "csv")
-    print("golden_results.csv")
+    results = DATA / "golden_results.csv"
+    with tempfile.TemporaryDirectory() as out:
+        fresh = Path(out) / results.name
+        write_rows(run_example1(TINY), fresh, "csv")
+        if _without_wall(fresh) != _without_wall(results):
+            results.write_bytes(fresh.read_bytes())
+            print(results.name)
     for golden, (runner, config, written) in sorted(GOLDEN_TRACES.items()):
         with tempfile.TemporaryDirectory() as out:
             runner(config, out)

@@ -546,9 +546,21 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "o")])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {' '.join(argv[1:])}" in (
-            capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            f"config error: unrecognized arguments: {' '.join(argv[1:])}\n")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param([], id="nothing"),
+        pytest.param(["--m", "2"], id="flag-only"),
+        pytest.param(["example3"], id="unknown-subcommand"),
+    ])
+    def test_no_subcommand(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_beta_kinds_case_from_flag_and_file(self, tmp_path):
         # one case rule, whether the kinds come from --beta or a file

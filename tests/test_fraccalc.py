@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfcg.engine import Objective, RunStatus, cfcg_minimize
-from cfcg.fraccalc import (FD_STEP, FracParams, QuadratureSpec, _unit_rule,
-                           frac_gradient_general, frac_gradient_quadratic,
-                           gamma_coeff)
+from cfcg.fraccalc import (FD_STEP, FracParams, QuadratureSpec, _folded_weights,
+                           _unit_rule, frac_gradient_general,
+                           frac_gradient_quadratic, gamma_coeff)
 from cfcg.problems import MlpSpec, mlp_init, mlp_lower_terminal, mlp_objective
 
 
@@ -178,6 +178,23 @@ class TestQuadraticGradient:
         params = FracParams(0.7, 0.3, c)
         want = A @ x + b + params.gamma * np.sqrt(np.diag(A)) * (x - c)
         assert np.array_equal(frac_gradient_quadratic(A, b, x, params), want)
+
+    def test_rbar_model_is_not_the_caputo_gradient(self):
+        # the closed form is the paper's iteration model, Rbar =
+        # diag(sqrt(A_ii)); the Caputo gradient of a quadratic, which the
+        # quadrature gets exactly, has diag(A) there.  They agree only
+        # where diag(A) = 1
+        A, b, x = np.diag([4.0, 9.0]), np.array([1.0, -2.0]), np.array([2.0, 3.0])
+        params = FracParams(0.7, 0.2, np.zeros(2))
+        quad = frac_gradient_general(lambda z: 0.5 * float(z @ A @ z) + b @ z,
+                                     x, params, QuadratureSpec(64))
+        closed = frac_gradient_quadratic(A, b, x, params)
+        assert quad == pytest.approx(A @ x + b + params.gamma * np.diag(A) * x,
+                                     rel=1e-12)
+        assert closed == pytest.approx(
+            A @ x + b + params.gamma * np.sqrt(np.diag(A)) * x, rel=1e-15)
+        assert quad == pytest.approx([8.7538, 24.1692], abs=1e-4)
+        assert closed == pytest.approx([8.8769, 24.7231], abs=1e-4)
 
 
 class TestGeneralGradient:
@@ -464,6 +481,24 @@ def test_unit_rule_weights_are_a_mean(alpha, node_count):
     assert s[0] == 0.0 and s[-1] == 1.0 and s.shape == w.shape
     assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
     assert abs(w.sum() - 1.0) <= 1e-14
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.05, 0.95), node_count=st.integers(2, 256),
+       seed=st.integers(0, 2**32 - 1))
+def test_folded_weights_are_stencils_then_weights(alpha, node_count, seed):
+    # the reference: the fourth-order stencils applied to rows of samples,
+    # then the rule's weights
+    _, w = _unit_rule(alpha, node_count)
+    y = np.random.default_rng(seed).uniform(-1.0, 1.0, (4, node_count + 5))
+    lo2, lo1, mid, up1, up2 = (y[:, j:j + w.size] for j in range(5))
+    d1 = ((lo2 - up2 + 8.0 * (up1 - lo1)) / 12.0 * w).sum(axis=1)
+    d2 = ((16.0 * (lo1 + up1) - lo2 - up2 - 30.0 * mid) / 12.0 * w).sum(axis=1)
+    a1, a2 = _folded_weights(w)
+    assert np.all(np.abs(y @ a1 - d1) <= 1e-13)
+    assert np.all(np.abs(y @ a2 - d2) <= 1e-13)
+    # a constant has no derivative
+    assert abs(a1.sum()) <= 1e-14 and abs(a2.sum()) <= 1e-14
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

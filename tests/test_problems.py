@@ -283,6 +283,16 @@ class TestMlpObjective:
             MlpSpec(hidden_units=0)
 
 
+def with_mid_nodes(rng, p, idx, ts):
+    """idx and ts with one more point per coordinate at t = p[i], the
+    quadrature's mid node (where a calm b1 row divides by zero), all
+    shuffled; also returns where the added points went."""
+    order = rng.permutation(idx.size + p.size)
+    idx = np.concatenate([idx, np.arange(p.size)])[order]
+    ts = np.concatenate([ts, p])[order]
+    return idx, ts, np.flatnonzero(order >= order.size - p.size)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 8),
        train=st.integers(30, 240))
@@ -296,23 +306,27 @@ def test_line_evaluator_property(seed, hidden, train):
     H, width = hidden, LINE_CHUNK // train
     blocks = [np.arange(H), np.arange(H, 2 * H), np.arange(2 * H, 3 * H),
               np.array([3 * H])]
-    idx = rng.permutation(np.concatenate([
-        rng.choice(b, rng.integers(width + 1, 3 * width)) for b in blocks]))
+    idx = np.concatenate([
+        rng.choice(b, rng.integers(width + 1, 3 * width)) for b in blocks])
     ts = rng.uniform(-3.0, 3.0, idx.size)
-    fast = obj.eval_line(p, idx, ts)
+    idx, ts, mid = with_mid_nodes(rng, p, idx, ts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = obj.eval_line(p, idx, ts)
+        # a point's value does not depend on what it is batched with, nor
+        # on where in the batch it sits
+        perm = rng.permutation(idx.size)[:idx.size // 2]
+        assert np.array_equal(obj.eval_line(p, idx[perm], ts[perm]), fast[perm])
+        for m in np.concatenate([perm[:5], mid]):
+            assert np.array_equal(obj.eval_line(p, idx[m], ts[m:m + 1]),
+                                  fast[m:m + 1])
+        assert np.array_equal(obj.eval_line(p, idx[mid], ts[mid]), fast[mid])
     slow = []
     for i, t in zip(idx, ts):
         q = p.copy()
         q[i] = t
         slow.append(obj.eval_uncounted(q))
     assert np.allclose(fast, slow, rtol=1e-12, atol=0.0)
-    # a point's value does not depend on what it is batched with, nor on
-    # where in the batch it sits
-    perm = rng.permutation(idx.size)[:idx.size // 2]
-    assert np.array_equal(obj.eval_line(p, idx[perm], ts[perm]), fast[perm])
-    for m in perm[:5]:
-        assert np.array_equal(obj.eval_line(p, idx[m], ts[m:m + 1]),
-                              fast[m:m + 1])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -336,15 +350,18 @@ def test_line_evaluator_saturated_weights(seed, hidden, train, scale):
     assert np.array_equal(calm, small)
     blocks = [np.arange(H), np.arange(H, 2 * H), np.arange(2 * H, 3 * H),
               np.array([3 * H])]
-    idx = rng.permutation(np.concatenate([
-        rng.choice(b, rng.integers(1, 2 * width)) for b in blocks]))
+    idx = np.concatenate([
+        rng.choice(b, rng.integers(1, 2 * width)) for b in blocks])
     ts = rng.uniform(-scale, scale, idx.size)
+    idx, ts, mid = with_mid_nodes(rng, p, idx, ts)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fast = obj.eval_line(p, idx, ts)
         perm = rng.permutation(idx.size)[:idx.size // 2]
         half = obj.eval_line(p, idx[perm], ts[perm])
-        single = [obj.eval_line(p, idx[m], ts[m:m + 1]) for m in perm[:5]]
+        mids = obj.eval_line(p, idx[mid], ts[mid])
+        picks = np.concatenate([perm[:5], mid])
+        single = [obj.eval_line(p, idx[m], ts[m:m + 1]) for m in picks]
     slow = []
     for i, t in zip(idx, ts):
         q = p.copy()
@@ -353,5 +370,6 @@ def test_line_evaluator_saturated_weights(seed, hidden, train, scale):
     assert np.all(np.isfinite(fast))
     assert np.allclose(fast, slow, rtol=1e-12, atol=0.0)
     assert np.array_equal(half, fast[perm])
-    for m, value in zip(perm[:5], single):
+    assert np.array_equal(mids, fast[mid])
+    for m, value in zip(picks, single):
         assert np.array_equal(value, fast[m:m + 1])
