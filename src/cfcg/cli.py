@@ -17,7 +17,9 @@ import argparse
 import csv
 import dataclasses
 import functools
+import itertools
 import json
+import operator
 import sys
 import time
 import typing
@@ -167,7 +169,7 @@ def load_config(path):
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    values = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -178,6 +180,10 @@ def load_config(path):
         key = key.strip()
         if key not in _FIELD_KINDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats "
+                              f"line {lines[key]}")
+        lines[key] = lineno
         try:
             values[key] = _parse_value(text, _FIELD_KINDS[key])
         except ValueError as exc:
@@ -222,21 +228,59 @@ def write_rows(rows, path, fmt):
 
 TRACE_COLUMNS = ("k", "f", "grad_norm", "step", "beta", "descent_inner",
                  "cos_theta", "restarted", "dist_to_ref")
-# one trace row as csv.writer writes it from _fmt's fields: no field needs
-# quoting, and rows end in \r\n
-_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%s\r\n"
+# the record attribute and format of each column, as csv.writer writes
+# _fmt's fields: no field needs quoting, rows end in \r\n, and a distance
+# of None is an empty field
+_TRACE_FIELDS = (("k", "%d"), ("f_value", "%.17g"), ("grad_norm", "%.17g"),
+                 ("step", "%.17g"), ("beta", "%.17g"),
+                 ("descent_inner", "%.17g"), ("cos_theta", "%.17g"),
+                 ("restarted", "%d"), ("dist_to_reference", "%.17g"))
+# rows whose fields are gathered at a time, which bounds the lists held
+_TRACE_BLOCK = 128
+
+
+def _trace_field(spec, value):
+    return "" if value is None else spec % value
+
+
+def _trace_lines(block):
+    """The csv lines of a list of trace records, made as they are read.  A
+    field that holds the very same object in every row of two or more is
+    formatted once, into the row format: `is`, not `==`, since
+    0.0 == -0.0."""
+    specs, columns = [], []
+    for name, spec in _TRACE_FIELDS:
+        get = operator.attrgetter(name)
+        first = get(block[0]) if block else None
+        if len(block) > 1 and all(map(operator.is_, map(get, block),
+                                      itertools.repeat(first))):
+            specs.append(_trace_field(spec, first))
+            continue
+        values = list(map(get, block))
+        if name == "dist_to_reference" and None in values:
+            spec, values = "%s", [_trace_field(spec, v) for v in values]
+        specs.append(spec)
+        columns.append(values)
+    return map((",".join(specs) + "\r\n").__mod__, zip(*columns))
 
 
 def write_trace_csv(trace, path):
+    """Write a trace as csv.writer writes its records' _fmt fields.
+
+    The rows above the terminal row go out in blocks of _TRACE_BLOCK, and
+    the terminal row alone, so a field that a run holds fixed (a fixed
+    step, steepest descent's beta 0.0 and cos_theta 1.0, restarted) is
+    formatted once per block, not once per row.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    n = len(trace) - 1
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        fh.writelines(_TRACE_ROW % (
-            rec.k, rec.f_value, rec.grad_norm, rec.step, rec.beta,
-            rec.descent_inner, rec.cos_theta, rec.restarted,
-            "" if rec.dist_to_reference is None else "%.17g" % rec.dist_to_reference,
-        ) for rec in trace)
+        for start in range(0, n, _TRACE_BLOCK):
+            fh.writelines(
+                _trace_lines(trace[start:min(start + _TRACE_BLOCK, n)]))
+        fh.writelines(_trace_lines(trace[n:]))
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +534,11 @@ def _check_config(config):
         if len(set(values)) < len(values):
             raise ConfigError(f"repeated entries in {name}: "
                               + _format_value(values))
+    if config.m < 1 or config.n < 1:
+        raise ConfigError(f"m and n must be positive, got m={config.m}, "
+                          f"n={config.n}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
     if not all(g >= 0.0 for g in config.gamma_grid):
         raise ConfigError("gamma must be nonnegative, got "
                           + _format_value(config.gamma_grid))

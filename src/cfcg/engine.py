@@ -308,28 +308,22 @@ def _gradient_evaluator(f, frac, quad):
     return grad
 
 
-def _norm(v):
-    """Euclidean norm of a 1-D float array: what np.linalg.norm computes
-    for one (sqrt of v.dot(v)), without its dispatch."""
-    return math.sqrt(v.dot(v))
-
-
 def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     """The one iteration loop behind both solvers.
 
-    kind is a BetaKind for conjugate directions, or None for steepest
-    descent (beta = 0, d = -g, no restarts).  rule is a LineSearchParams
-    for the Armijo-Wolfe search, or a GridStep whose entries are all tried
-    and the lowest trial value kept; a GridStep run also stops after
-    DIVERGENCE_STREAK consecutive objective increases ("divergence").
-    Every step evaluates the gradient once, at the accepted point.  A run
-    whose f or gradient norm at the current point is not finite stops
-    there with MaxIter and stop reason "non-finite".
+    kind is a BetaKind for conjugate directions, each step chosen by the
+    Armijo-Wolfe search with rule a LineSearchParams; or None for steepest
+    descent (beta = 0, d = -g, no restarts) with rule a GridStep, whose
+    entries are all tried and the lowest trial value kept.  Steepest
+    descent also stops after DIVERGENCE_STREAK consecutive objective
+    increases ("divergence").  Every step evaluates the gradient once, at
+    the accepted point.  A run whose f or gradient norm at the current
+    point is not finite stops there with MaxIter and stop reason
+    "non-finite".
     """
     stop = stop or StopCriteria()
     grad = _gradient_evaluator(f, frac, quad)
-    search = isinstance(rule, LineSearchParams)
-    etas = None if search else rule.etas
+    etas = rule.etas if kind is None else None
 
     x = np.array(x0, dtype=float)
     x.flags.writeable = False
@@ -341,18 +335,17 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     trace = []
     # g, d and the steps are kept for recheck_armijo_wolfe, so only when a
     # line search chose the steps
-    keep_search = keep_vectors and search
+    keep_search = keep_vectors and kind is not None
     xs = [x.copy()] if keep_vectors else None
     gs = [g.copy()] if keep_search else None
     ds = [] if keep_search else None
     steps = [] if keep_search else None
 
-    def dist(z):
-        return _norm(z - reference) if reference is not None else None
-
     status, reason, k = RunStatus.MAX_ITER, "max_iter", 0
     for k in range(stop.max_iter):
-        gn = _norm(g)
+        # norms as sqrt(v.dot(v)), what np.linalg.norm computes for a 1-D
+        # float array, without its dispatch
+        gn = math.sqrt(g.dot(g))
         if not (math.isfinite(f_x) and math.isfinite(gn)):
             status, reason = RunStatus.MAX_ITER, "non-finite"
             break
@@ -360,12 +353,28 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
             status, reason = RunStatus.CONVERGED, "grad_tol"
             break
 
-        restarted = False
-        beta = 0.0
         if kind is None:
-            d = -g
-            descent_inner, cos_theta = -gn * gn, 1.0
+            # d = -g, so each trial point is x - eta g, bit for bit x + eta d;
+            # setflags takes about half the time of flags.writeable = False
+            restarted, beta, cos_theta = False, 0.0, 1.0
+            descent_inner = -gn * gn
+            eta = etas[0]
+            x_new = x - eta * g
+            x_new.setflags(write=False)
+            f_new = f.eval(x_new)
+            for eta_j in etas[1:]:
+                x_j = x - eta_j * g
+                x_j.setflags(write=False)
+                f_j = f.eval(x_j)
+                # the first nan trial is kept, so the non-finite guard stops
+                # the run; else the first lowest
+                if f_new == f_new and not f_j >= f_new:
+                    eta, x_new, f_new = eta_j, x_j, f_j
+            g_new = grad(x_new)
+            increase_streak = increase_streak + 1 if f_new > f_x else 0
         else:
+            restarted = False
+            beta = 0.0
             if d_prev is None:
                 d = -g
             elif force_restart or abs(float(g @ g_prev)) >= STALENESS_RESTART * gn * gn:
@@ -379,29 +388,26 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
                 if restarted:
                     beta = 0.0
             descent_inner = float(g @ d)
-            cos_theta = -descent_inner / (gn * _norm(d))
-
-        if search:
+            d_norm = math.sqrt(d.dot(d))
+            cos_theta = -descent_inner / (gn * d_norm)
             try:
                 res = armijo_wolfe_search(f, grad, x, d, g, rule, f_x=f_x)
             except LineSearchError as exc:
                 status, reason = RunStatus.LINE_SEARCH_FAILURE, str(exc)
                 break
-            eta, trials, x_new, f_new = res.eta, res.trials, res.x_new, res.f_new
-            g_new = res.g_new
-        else:
-            points = [x + e * d for e in etas]
-            for z in points:
-                z.flags.writeable = False
-            trial_fs = [f.eval(z) for z in points]
-            # np.argmin costs ~5 us a call, too much for fixed-step runs
-            j = 0 if len(etas) == 1 else int(np.argmin(trial_fs))
-            eta, trials, x_new, f_new = etas[j], len(etas), points[j], trial_fs[j]
-            g_new = grad(x_new)
-            increase_streak = increase_streak + 1 if f_new > f_x else 0
+            eta, x_new, f_new, g_new = res.eta, res.x_new, res.f_new, res.g_new
+            force_restart = (eta * d_norm < STALL_DISPLACEMENT
+                             * (1.0 + math.sqrt(x.dot(x)))
+                             or res.trials >= STALL_TRIALS)
+            g_prev, d_prev = g, d
 
+        if reference is None:
+            dist = None
+        else:
+            e = x - reference
+            dist = math.sqrt(e.dot(e))
         trace.append(IterRecord(k, f_x, gn, eta, beta, descent_inner,
-                                cos_theta, restarted, dist(x)))
+                                cos_theta, restarted, dist))
         if keep_vectors:
             xs.append(x_new.copy())
         if keep_search:
@@ -409,11 +415,6 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
             ds.append(d.copy())
             steps.append(eta)
 
-        if kind is not None:
-            displacement = eta * _norm(d)
-            force_restart = (displacement < STALL_DISPLACEMENT * (1.0 + _norm(x))
-                             or trials >= STALL_TRIALS)
-            g_prev, d_prev = g, d
         decrease = f_x - f_new
         x, f_x, g = x_new, f_new, g_new
         if increase_streak >= DIVERGENCE_STREAK:
@@ -425,9 +426,14 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     else:
         k = stop.max_iter
 
-    gn = _norm(g)
+    gn = math.sqrt(g.dot(g))
+    if reference is None:
+        dist = None
+    else:
+        e = x - reference
+        dist = math.sqrt(e.dot(e))
     trace.append(IterRecord(k, f_x, gn, math.nan, math.nan, math.nan,
-                            math.nan, False, dist(x)))
+                            math.nan, False, dist))
     # the iterate is a read-only trial point; the caller gets its own copy
     return RunReport(status, reason, k, f.objective_evals,
                      f.gradient_evals, x.copy(), gn, trace, xs, gs, ds, steps)

@@ -138,15 +138,15 @@ def tikhonov_run_objective(prob, frac):
     def fn(x):
         nonlocal seen, seen_g
         e = error(x)
-        seen, seen_g = x, abar @ e
-        return 0.5 * float(e @ seen_g)
+        seen, seen_g = x, abar.dot(e)
+        return 0.5 * float(e.dot(seen_g))
 
     def grad(x):
         nonlocal seen, seen_g
         if x is seen and not x.flags.writeable and x.flags.owndata:
             g, seen, seen_g = seen_g, None, None
             return g
-        return abar @ error(x)
+        return abar.dot(error(x))
 
     return Objective(fn, frac_gradient=grad), target, abar
 

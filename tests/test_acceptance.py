@@ -6,13 +6,16 @@ verdict lines.
 
 import csv
 import dataclasses
+import hashlib
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cfcg.cli import ExperimentConfig, ResultRow, run_example1, run_example2
+from cfcg.cli import (ExperimentConfig, ResultRow, run_example1, run_example2,
+                      write_rows)
 from cfcg.engine import (LineSearchParams, Objective, RunStatus, StopCriteria,
                          cfcg_minimize, recheck_armijo_wolfe)
 from cfcg.fraccalc import (FracParams, QuadratureSpec, frac_gradient_general,
@@ -23,6 +26,23 @@ from cfcg.problems import (Example1Config, MlpSpec, benchmark_fn,
 from cfcg.tikhonov import build_quadratic, tikhonov_solution
 
 ALL_KINDS = ("FR", "CD", "DY", "PRP", "HS")
+# digests of the default example1 sweep's outputs; see sweep_digests
+SWEEP_DIGESTS = Path(__file__).parent / "data" / "golden_default_sweep.json"
+
+
+def sweep_digests(out_dir, rows):
+    """SHA-256 of every trace file in out_dir, by name, and of the
+    results.csv of rows with wall_ms set to 0, the one column that varies
+    between reruns."""
+    out_dir = Path(out_dir)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out_dir.glob("trace_*.csv"))}
+    results = out_dir / "results.csv"
+    write_rows([dataclasses.replace(r, wall_ms=0.0) for r in rows], results,
+               "csv")
+    digests["results.csv (wall_ms written as 0)"] = hashlib.sha256(
+        results.read_bytes()).hexdigest()
+    return digests
 
 
 def verdict(ok, label, detail=""):
@@ -301,6 +321,12 @@ def test_criterion_10_determinism(default_sweep_rows, tmp_path):
         (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
         for name in traces_a)
 
+    # and they are the outputs pinned in tests/data
+    golden = json.loads(SWEEP_DIGESTS.read_text())
+    digests = sweep_digests(dir_a, rows_a)
+    moved = sorted(name for name in golden.keys() | digests.keys()
+                   if golden.get(name) != digests.get(name))
+
     # a seeded network run repeats identically as well
     tiny = dataclasses.replace(
         ExperimentConfig(), seed=5, hidden_units=4, train_points=10, trials=1,
@@ -308,7 +334,9 @@ def test_criterion_10_determinism(default_sweep_rows, tmp_path):
         write_traces=False)
     mlp_equal = strip(run_example2(tiny)) == strip(run_example2(tiny))
 
-    verdict(rows_equal and traces_equal and mlp_equal,
+    verdict(rows_equal and traces_equal and mlp_equal and not moved,
             "criterion 10 (determinism)",
             f"{len(traces_a)} trace files byte-identical, "
-            "result rows identical up to wall-clock")
+            "result rows identical up to wall-clock"
+            + (f"; differ from {SWEEP_DIGESTS.name}: {', '.join(moved)}"
+               if moved else f", as pinned in {SWEEP_DIGESTS.name}"))

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from cfcg.cli import (ConfigError, ExperimentConfig, ResultRow, load_config,
                       main, run_example1, run_example2, run_single,
                       save_config, write_rows, write_trace_csv, TRACE_COLUMNS,
-                      _example1_instance, _fmt, _run_cell, _tikhonov_problem)
+                      _TRACE_BLOCK, _example1_instance, _fmt, _run_cell,
+                      _tikhonov_problem)
 from cfcg.engine import (IterRecord, LineSearchParams, RunStatus,
                          StopCriteria, cfcg_minimize)
 from cfcg.fraccalc import FracParams
@@ -24,6 +25,9 @@ DATA_DIR = Path(__file__).parent / "data"
 TINY = dataclasses.replace(
     ExperimentConfig(), seed=7, m=8, n=8, gamma_grid=(1.0,),
     beta_kinds=("FR",), write_traces=False)
+
+# one float object, shared by every row that steps by it
+_STEP = 1.0 / 3.0
 
 DESK = dataclasses.replace(
     ExperimentConfig(), seed=3, m=20, n=20, write_traces=False)
@@ -77,6 +81,14 @@ class TestConfigFile:
         path.write_text("alpha_grid = 0.5,0.9\n")
         assert load_config(path).alpha_grid == (0.5, 0.9)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        # the last value used to win: these lines ran 5 iterations
+        path = tmp_path / "c.cfg"
+        path.write_text("max_iter = 3\nseed = 5\nmax_iter = 5\n")
+        with pytest.raises(ConfigError,
+                           match=r"c\.cfg:3: key 'max_iter' repeats line 1$"):
+            load_config(path)
+
     def test_bad_value_reports_field(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("max_iter = soon\n")
@@ -119,6 +131,56 @@ def test_config_round_trip(tmp_path_factory, config):
     assert load_config(path) == config
 
 
+def _terminal(k, dist=None):
+    return IterRecord(k, 0.5, 0.25, math.nan, math.nan, math.nan, math.nan,
+                      False, dist)
+
+
+def _fixed_step_trace(rows, step=lambda k: 0.125, beta=lambda k: 0.0,
+                      dist=lambda k: k / 7.0):
+    """rows records as a fixed-step run writes them, then a terminal row;
+    step, beta and dist give each row's value from k."""
+    return [IterRecord(k, 1.0 / (k + 1), 2.0 ** -k, step(k), beta(k),
+                       -1.0 / (k + 3), 1.0, False, dist(k))
+            for k in range(rows)] + [_terminal(rows, 0.1)]
+
+
+# write_trace_csv formats a field once per block when it holds the very same
+# object in every row of the block; these traces hold what that must get
+# right
+HAND_TRACES = {
+    # the values the golden traces never hold: non-finite, signed zero,
+    # subnormal, an int step, a restart and a missing distance
+    "special-values": [
+        IterRecord(0, math.nan, math.inf, 1, -0.0, -math.inf, 5e-324,
+                   True, None),
+        IterRecord(1, 0.1, 2.0 / 3.0, 0.5, 1e300, -1e-300, 0.0, False, 1.0),
+        IterRecord(2, -0.0, 0.0, math.nan, math.nan, math.nan, math.nan,
+                   False, math.nan),
+    ],
+    "one-object-above-terminal": _fixed_step_trace(6, step=lambda k: _STEP),
+    # equal values, made one by one: distinct objects
+    "equal-distinct-objects": _fixed_step_trace(
+        6, step=lambda k: float("0.1"), beta=lambda k: math.fsum([0.25])),
+    # equal as floats, written "0" and "-0"
+    "signed-zeros": _fixed_step_trace(6, beta=lambda k: -0.0 if k % 3 else 0.0),
+    "int-step": _fixed_step_trace(5, step=lambda k: 2),
+    "distance-missing-in-some-rows": _fixed_step_trace(
+        6, dist=lambda k: None if k in (1, 2, 5) else k / 7.0),
+    "distance-missing-in-all-rows": _fixed_step_trace(4, dist=lambda k: None),
+    "one-row": [_terminal(0, 0.5)],
+    "two-rows": _fixed_step_trace(1),
+    # the step object changes inside the second block, the distance goes
+    # missing across the first boundary, and beta's sign across the second
+    "blocks": _fixed_step_trace(
+        2 * _TRACE_BLOCK + 3,
+        step=lambda k: _STEP if k < _TRACE_BLOCK + 5 else 0.125,
+        beta=lambda k: -0.0 if k >= 2 * _TRACE_BLOCK else 0.0,
+        dist=lambda k: None if _TRACE_BLOCK - 2 <= k <= _TRACE_BLOCK + 1
+        else float(k)),
+}
+
+
 class TestSerialization:
     def test_csv_header_is_stable(self, tmp_path):
         rows = run_example1(TINY)
@@ -151,30 +213,22 @@ class TestSerialization:
                 assert g[key] == w[key], f"column {key}"
 
     def test_trace_bytes_match_csv_writer(self, tmp_path):
-        # the values the golden traces never hold: non-finite, signed zero,
-        # subnormal, an int step, a restart and a missing distance
-        trace = [
-            IterRecord(0, math.nan, math.inf, 1, -0.0, -math.inf, 5e-324,
-                       True, None),
-            IterRecord(1, 0.1, 2.0 / 3.0, 0.5, 1e300, -1e-300, 0.0, False,
-                       1.0),
-            IterRecord(2, -0.0, 0.0, math.nan, math.nan, math.nan, math.nan,
-                       False, math.nan),
-        ]
-        want = tmp_path / "want.csv"
-        with open(want, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for rec in trace:
-                writer.writerow([
-                    rec.k, _fmt(rec.f_value), _fmt(rec.grad_norm),
-                    _fmt(rec.step), _fmt(rec.beta), _fmt(rec.descent_inner),
-                    _fmt(rec.cos_theta), int(rec.restarted),
-                    "" if rec.dist_to_reference is None
-                    else _fmt(rec.dist_to_reference)])
-        got = tmp_path / "got.csv"
-        write_trace_csv(trace, got)
-        assert got.read_bytes() == want.read_bytes()
+        for name, trace in sorted(HAND_TRACES.items()):
+            want = tmp_path / f"want-{name}.csv"
+            with open(want, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(TRACE_COLUMNS)
+                for rec in trace:
+                    writer.writerow([
+                        rec.k, _fmt(rec.f_value), _fmt(rec.grad_norm),
+                        _fmt(rec.step), _fmt(rec.beta),
+                        _fmt(rec.descent_inner), _fmt(rec.cos_theta),
+                        int(rec.restarted),
+                        "" if rec.dist_to_reference is None
+                        else _fmt(rec.dist_to_reference)])
+            got = tmp_path / f"got-{name}.csv"
+            write_trace_csv(trace, got)
+            assert got.read_bytes() == want.read_bytes(), name
 
     def test_trace_float_precision_round_trips(self, tmp_path):
         config = TINY
@@ -517,6 +571,13 @@ class TestMainEntry:
         pytest.param(["example1", "--seed", "x"], id="seed-not-an-int"),
         pytest.param(["example1", "--max-iter", "1.5"], id="max-iter-not-an-int"),
         pytest.param(["example1", "--alpha", "abc"], id="alpha-not-a-number"),
+        pytest.param(["single", "--config", "max_iter = 3\nmax_iter = 5\n"],
+                     id="config-key-repeated"),
+        pytest.param(["example1", "--config", "m = 0\n"], id="m-zero"),
+        pytest.param(["example1", "--config", "n = -3\n"], id="n-negative"),
+        pytest.param(["example1", "--seed", "-1"], id="example1-seed-negative"),
+        pytest.param(["example2", "--seed", "-1"], id="example2-seed-negative"),
+        pytest.param(["single", "--seed", "-1"], id="single-seed-negative"),
         # a config file that cannot be read: None leaves the path missing
         pytest.param(["example1", "--config", None], id="config-missing"),
         pytest.param(["example1", "--config", b"seed = \xff\n"],

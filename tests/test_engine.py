@@ -386,6 +386,22 @@ class TestCfsd:
         # from x=1 with g=1: f(0) = 0 beats f(0.8); step 1.0 chosen
         assert rep.trace[0].step == 1.0
 
+    @pytest.mark.parametrize("etas, step, reason", [
+        ((0.5, 1.5), 0.5, "max_iter"),
+        ((0.5, 3.0, 0.2), 3.0, "non-finite"),
+    ], ids=["tie-keeps-the-first", "nan-trial-is-kept"])
+    def test_grid_ties_and_nan_trials(self, etas, step, reason):
+        # f is nan beyond |x| = 1.5; from x = 1 with g = 1, steps 0.5 and
+        # 1.5 tie at f = 1/8, and step 3.0 lands on a nan, which is kept so
+        # that the next iteration stops at the non-finite guard
+        obj = Objective(
+            lambda x: 0.5 * float(x @ x) if abs(x[0]) <= 1.5 else math.nan,
+            frac_gradient=lambda x: x.copy())
+        rep = cfsd_minimize(obj, np.array([1.0]), classical_params(1),
+                            GridStep(etas), stop=StopCriteria(1e-12, 2))
+        assert rep.trace[0].step == step
+        assert rep.stop_reason == reason
+
     def test_kept_vectors_refuse_line_search_recheck(self):
         # no line search chose the steps, so there is nothing to recheck
         frac = classical_params(2)
