@@ -240,7 +240,10 @@ _TRACE_BLOCK = 128
 
 
 def _trace_field(spec, value):
-    return "" if value is None else spec % value
+    """value as _fmt makes it: a non-float in a float column by str."""
+    if value is None:
+        return ""
+    return spec % value if spec == "%d" or isinstance(value, float) else str(value)
 
 
 def _trace_lines(block):
@@ -257,7 +260,7 @@ def _trace_lines(block):
             specs.append(_trace_field(spec, first))
             continue
         values = list(map(get, block))
-        if name == "dist_to_reference" and None in values:
+        if spec != "%d" and not all(map(float.__instancecheck__, values)):
             spec, values = "%s", [_trace_field(spec, v) for v in values]
         specs.append(spec)
         columns.append(values)

@@ -122,8 +122,8 @@ class GridStep:
 
     def __post_init__(self):
         object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
-        if not self.etas or not all(e > 0.0 for e in self.etas):
-            raise ValueError("step grid must be nonempty and positive")
+        if not self.etas or not all(0.0 < e < math.inf for e in self.etas):
+            raise ValueError("step grid must be nonempty, positive and finite")
 
 
 class Objective:
@@ -224,21 +224,17 @@ def beta_value(kind, g_k, g_prev, d_prev):
         den = float(d_prev @ (g_k - g_prev))
 
     if kind in (BetaKind.FR, BetaKind.CD, BetaKind.DY):
-        num = gg
-        scale = gg
+        num = scale = gg
     else:
-        num = gg - float(g_k @ g_prev)
-        scale = gg + abs(float(g_k @ g_prev))
+        gp = float(g_k @ g_prev)
+        num, scale = gg - gp, gg + abs(gp)
 
     if abs(den) < DENOMINATOR_FLOOR * scale:
         raise DenominatorUnderflow(
             f"{kind.value} denominator {den:.3e} below floor for scale {scale:.3e}"
         )
 
-    if kind == BetaKind.CD:
-        value = -num / den
-    else:
-        value = num / den
+    value = (-num if kind == BetaKind.CD else num) / den
     if kind.clamped:
         value = max(0.0, value)
     return value
@@ -253,9 +249,8 @@ def direction(g_k, beta, d_prev):
         return -g_k, False
     d = -g_k + beta * np.asarray(d_prev, dtype=float)
     gn2 = float(g_k @ g_k)
-    if float(g_k @ d) > -SUFFICIENT_DESCENT * gn2:
-        return -g_k, True
-    if float(d @ d) > (DIRECTION_NORM_CAP**2) * gn2:
+    if (float(g_k @ d) > -SUFFICIENT_DESCENT * gn2
+            or float(d @ d) > (DIRECTION_NORM_CAP**2) * gn2):
         return -g_k, True
     return d, False
 
@@ -306,6 +301,13 @@ def _gradient_evaluator(f, frac, quad):
             return np.asarray(hook(x), dtype=float)
         return frac_gradient_general(f, x, frac, quad)
     return grad
+
+
+def _distance(x, reference):
+    if reference is None:
+        return None
+    e = x - reference
+    return math.sqrt(e.dot(e))
 
 
 def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
@@ -373,8 +375,7 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
             g_new = grad(x_new)
             increase_streak = increase_streak + 1 if f_new > f_x else 0
         else:
-            restarted = False
-            beta = 0.0
+            restarted, beta = False, 0.0
             if d_prev is None:
                 d = -g
             elif force_restart or abs(float(g @ g_prev)) >= STALENESS_RESTART * gn * gn:
@@ -401,13 +402,8 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
                              or res.trials >= STALL_TRIALS)
             g_prev, d_prev = g, d
 
-        if reference is None:
-            dist = None
-        else:
-            e = x - reference
-            dist = math.sqrt(e.dot(e))
         trace.append(IterRecord(k, f_x, gn, eta, beta, descent_inner,
-                                cos_theta, restarted, dist))
+                                cos_theta, restarted, _distance(x, reference)))
         if keep_vectors:
             xs.append(x_new.copy())
         if keep_search:
@@ -427,13 +423,8 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
         k = stop.max_iter
 
     gn = math.sqrt(g.dot(g))
-    if reference is None:
-        dist = None
-    else:
-        e = x - reference
-        dist = math.sqrt(e.dot(e))
     trace.append(IterRecord(k, f_x, gn, math.nan, math.nan, math.nan,
-                            math.nan, False, dist))
+                            math.nan, False, _distance(x, reference)))
     # the iterate is a read-only trial point; the caller gets its own copy
     return RunReport(status, reason, k, f.objective_evals,
                      f.gradient_evals, x.copy(), gn, trace, xs, gs, ds, steps)
@@ -481,10 +472,7 @@ def recheck_armijo_wolfe(report, f, grad, ls):
         raise ValueError("run kept no line-search steps "
                          "(cfcg_minimize with keep_vectors=True)")
     worst = math.inf
-    for i, d in enumerate(report.ds):
-        x = report.xs[i]
-        g = report.gs[i]
-        eta = report.steps[i]
+    for x, g, d, eta in zip(report.xs, report.gs, report.ds, report.steps):
         gd = float(g @ d)
         x_new = x + eta * d
         armijo = (f.eval_uncounted(x) + ls.c1 * eta * gd) - f.eval_uncounted(x_new)

@@ -8,6 +8,7 @@ singular Caputo kernel along each coordinate line.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,13 +104,17 @@ def _unit_rule(alpha, node_count):
     return s, w
 
 
-def _folded_weights(w):
+@functools.lru_cache(maxsize=16)
+def _line_weights(alpha, node_count):
     """The rule's weights w with the fourth-order stencils of f' and f''
     folded in: sum_j w_j f'(t_j) is y @ a1 / q and sum_j w_j f''(t_j) is
     y @ a2 / q^2, where y holds f at the N+5 nodes from two ghost nodes
-    before the first rule node to two after the last, q apart."""
+    before the first rule node to two after the last, q apart.  Made once
+    per (alpha, node_count) and read-only, as every caller shares them."""
+    _, w = _unit_rule(alpha, node_count)
     a1 = np.convolve(w, [1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
     a2 = np.convolve(w, [-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+    a1.flags.writeable = a2.flags.writeable = False
     return a1, a2
 
 
@@ -143,18 +148,18 @@ def frac_gradient_quadratic(A, b, x, params):
 def _line_samples(f, x, ii, pts):
     """f along the coordinate lines ii at the abscissae ``pts``, one row
     per coordinate, returned in that shape.  An objective's vectorized
-    ``eval_line(x, idx, ts)`` gets all the points in one call; otherwise
+    ``eval_line(x, idx, ts)`` gets all the lines in one call, one idx
+    entry per line and their rows back to back in ts; otherwise
     ``eval_uncounted`` (or the plain callable) is probed point by point.
     """
-    idx = np.repeat(ii, pts.shape[1])
     line = getattr(f, "eval_line", None)
     if line is not None:
-        out = np.asarray(line(x, idx, pts.ravel()), dtype=float)
+        out = np.asarray(line(x, ii, pts.ravel()), dtype=float)
     else:
         fn = getattr(f, "eval_uncounted", f)
         z = np.array(x, dtype=float)
         out = np.empty(pts.size)
-        for j, (i, t) in enumerate(zip(idx, pts.flat)):
+        for j, (i, t) in enumerate(zip(np.repeat(ii, pts.shape[1]), pts.flat)):
             z[i] = t
             out[j] = fn(z)
             z[i] = x[i]
@@ -194,7 +199,6 @@ def frac_gradient_general(f, x, params, spec):
     c = params.c
     if x.shape != c.shape:
         raise ValueError(f"x has shape {x.shape} but c has shape {c.shape}")
-    _, w = _unit_rule(params.alpha, spec.node_count)
     span = x - c
     q = span / spec.node_count
     h = FD_STEP * np.maximum(1.0, np.abs(x))
@@ -205,7 +209,7 @@ def frac_gradient_general(f, x, params, spec):
     if ii.size:
         qi = q[ii]
         y = _line_samples(f, x, ii, x[ii, None] + qi[:, None] * k)
-        a1, a2 = _folded_weights(w)
+        a1, a2 = _line_weights(params.alpha, spec.node_count)
         g[ii] = (np.vecdot(y, a1) / qi
                  + params.rho * span[ii] * np.vecdot(y, a2) / (qi * qi))
     ii = np.flatnonzero(near)

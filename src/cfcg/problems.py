@@ -203,19 +203,24 @@ def mlp_objective(spec, target, data_seed):
 
     def fn(p):
         w, b1, v, b2 = p[:H], p[H:2 * H], p[2 * H:3 * H], p[3 * H]
-        pred = np.tanh(np.outer(z, w) + b1) @ v + b2
-        return float(np.mean((pred - tv) ** 2))
+        a = z[:, None] * w
+        a += b1
+        res = np.tanh(a, out=a) @ v
+        res += b2
+        res -= tv
+        return float(np.add.reduce(np.square(res, out=res)) / z.size)
 
     def eval_line(p, idx, ts):
-        # f(p with p[idx[m]] = ts[m]) for every point m, from one
-        # hidden-layer pass (hid[j] is unit j over the training points)
-        # and the residual r at p
-        ts = np.asarray(ts, dtype=float)
-        idx = np.broadcast_to(np.asarray(idx), ts.shape)
+        # f(p with p[idx[l]] = t) for every abscissa t of line l, the lines'
+        # K abscissae back to back in ts, from one hidden-layer pass (hid[j]
+        # is unit j over the training points) and the residual r at p
+        idx = np.ravel(idx)  # reshape raises ValueError for a fractional K
+        ts = np.reshape(np.asarray(ts, dtype=float), (idx.size, -1))
+        K = ts.shape[1]
         w, b1, v, b2 = p[:H], p[H:2 * H], p[2 * H:3 * H], p[3 * H]
         hid = np.tanh(np.outer(w, z) + b1[:, None])
         r = v @ hid + b2 - tv
-        out = np.empty(ts.size)
+        out = np.empty(ts.shape)
         # the kind of each coordinate's line: 0 along w_j, 1 along b1_j of a
         # saturated unit, 2 along b1_j of a calm one, 3 on the output side
         line_kind = np.repeat([0, 1, 3], [H, H, H + 1])
@@ -224,7 +229,7 @@ def mlp_objective(spec, target, data_seed):
         # along v_j, or b2 as a unit fixed at one, f is the quadratic
         # mean(r**2) + d (2 mean(r hid[j]) + d mean(hid[j]**2)), d = t - p[i]
         sel = np.flatnonzero(kinds == 3)
-        j, d = idx[sel] - 2 * H, ts[sel] - p[idx[sel]]
+        j, d = idx[sel, None] - 2 * H, ts[sel] - p[idx[sel], None]
         s1 = np.append((hid * r).sum(axis=1), r.sum()) / z.size
         s2 = np.append((hid * hid).sum(axis=1) / z.size, 1.0)
         out[sel] = (r * r).sum() / z.size + d * (2.0 * s1[j] + d * s2[j])
@@ -239,15 +244,15 @@ def mlp_objective(spec, target, data_seed):
         width = max(1, LINE_CHUNK // z.size)
         for kind in range(3):
             sel = np.flatnonzero(kinds == kind)
-            j, t = idx[sel] % H, ts[sel, None]
+            j, t = np.repeat(idx[sel] % H, K), ts[sel].reshape(-1, 1)
             if kind == 2:
                 with np.errstate(divide="ignore"):
                     mu = 1.0 / np.tanh(t - b1[j, None])
             else:
                 c1, c2 = (t, b1[j, None]) if kind == 0 else (w[j, None], t)
                 vj = v[j, None]
-            sq = np.empty(sel.size)
-            for m in range(0, sel.size, width):
+            sq = np.empty(j.size)
+            for m in range(0, j.size, width):
                 jm, rows = j[m:m + width], slice(m, m + width)
                 if kind == 2:
                     a = hid[jm]
@@ -261,7 +266,7 @@ def mlp_objective(spec, target, data_seed):
                     a *= vj[rows]
                     a += u[jm]
                 sq[rows] = np.vecdot(a, a)
-            out[sel] = sq / z.size
-        return out
+            out[sel] = sq.reshape(sel.size, K) / z.size
+        return out.ravel()
 
     return Objective(fn, eval_line=eval_line)

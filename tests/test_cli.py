@@ -165,6 +165,9 @@ HAND_TRACES = {
     # equal as floats, written "0" and "-0"
     "signed-zeros": _fixed_step_trace(6, beta=lambda k: -0.0 if k % 3 else 0.0),
     "int-step": _fixed_step_trace(5, step=lambda k: 2),
+    # ints that "%.17g" writes as 1e+17: one object, then one per row
+    "huge-int-step": _fixed_step_trace(5, step=lambda k: 10**17,
+                                       beta=lambda k: 10**17 + k),
     "distance-missing-in-some-rows": _fixed_step_trace(
         6, dist=lambda k: None if k in (1, 2, 5) else k / 7.0),
     "distance-missing-in-all-rows": _fixed_step_trace(4, dist=lambda k: None),
@@ -578,6 +581,13 @@ class TestMainEntry:
         pytest.param(["example1", "--seed", "-1"], id="example1-seed-negative"),
         pytest.param(["example2", "--seed", "-1"], id="example2-seed-negative"),
         pytest.param(["single", "--seed", "-1"], id="single-seed-negative"),
+        # an infinite step makes every CFSD iterate non-finite
+        pytest.param(["example1", "--config", "m = 8\nn = 8\nsd_step = inf\n"],
+                     id="sd-step-infinite"),
+        pytest.param(["example2", "--config",
+                      "sd_grid = 0.01,inf\ntargets = h1\nhidden_units = 2\n"
+                      "train_points = 4\ntrials = 1\nmax_iter = 1\n"],
+                     id="sd-grid-infinite"),
         # a config file that cannot be read: None leaves the path missing
         pytest.param(["example1", "--config", None], id="config-missing"),
         pytest.param(["example1", "--config", b"seed = \xff\n"],

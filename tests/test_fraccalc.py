@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfcg.engine import Objective, RunStatus, cfcg_minimize
-from cfcg.fraccalc import (FD_STEP, FracParams, QuadratureSpec, _folded_weights,
+from cfcg.fraccalc import (FD_STEP, FracParams, QuadratureSpec, _line_weights,
                            _unit_rule, frac_gradient_general,
                            frac_gradient_quadratic, gamma_coeff)
 from cfcg.problems import MlpSpec, mlp_init, mlp_lower_terminal, mlp_objective
@@ -494,7 +494,8 @@ def test_folded_weights_are_stencils_then_weights(alpha, node_count, seed):
     lo2, lo1, mid, up1, up2 = (y[:, j:j + w.size] for j in range(5))
     d1 = ((lo2 - up2 + 8.0 * (up1 - lo1)) / 12.0 * w).sum(axis=1)
     d2 = ((16.0 * (lo1 + up1) - lo2 - up2 - 30.0 * mid) / 12.0 * w).sum(axis=1)
-    a1, a2 = _folded_weights(w)
+    a1, a2 = _line_weights(alpha, node_count)
+    assert not (a1.flags.writeable or a2.flags.writeable)
     assert np.all(np.abs(y @ a1 - d1) <= 1e-13)
     assert np.all(np.abs(y @ a2 - d2) <= 1e-13)
     # a constant has no derivative

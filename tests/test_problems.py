@@ -329,25 +329,31 @@ def test_line_evaluator_property(seed, hidden, train):
     assert np.allclose(fast, slow, rtol=1e-12, atol=0.0)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(2, 8),
-       train=st.integers(30, 240), scale=st.floats(3.0, 40.0))
-def test_line_evaluator_saturated_weights(seed, hidden, train, scale):
-    # parameters up to +-scale: half the hidden units keep |w|, |b1| <= 0.5
-    # and stay calm, the others have |b1| >= 3 and saturate, so one call
-    # takes b1 lines both by the addition formula and by tanh rows
-    spec = MlpSpec(hidden_units=hidden, train_points=train, trials=1)
-    obj = mlp_objective(spec, BENCHMARK_IDS[seed % 3], data_seed=seed)
-    rng = np.random.default_rng(seed)
-    H, width = hidden, LINE_CHUNK // train
+def half_calm_params(rng, spec, data_seed, scale):
+    """Parameters up to +-scale: half the hidden units keep |w|, |b1| <= 0.5
+    and stay calm, the others have |b1| >= 3 and saturate, so b1 lines of
+    both kinds occur."""
+    H = spec.hidden_units
     small = rng.permutation(np.arange(H) % 2 == 0)
     w = np.where(small, 0.5, scale) * rng.uniform(-1.0, 1.0, H)
     b1 = np.where(small, rng.uniform(-0.5, 0.5, H),
                   rng.choice([-1.0, 1.0], H) * rng.uniform(3.0, scale, H))
-    p = np.concatenate([w, b1, rng.uniform(-scale, scale, H + 1)])
-    z = mlp_dataset(spec, seed)
+    z = mlp_dataset(spec, data_seed)
     calm = np.max(np.abs(np.tanh(np.outer(w, z) + b1[:, None])), axis=1) <= CALM_HID
     assert np.array_equal(calm, small)
+    return np.concatenate([w, b1, rng.uniform(-scale, scale, H + 1)])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(2, 8),
+       train=st.integers(30, 240), scale=st.floats(3.0, 40.0))
+def test_line_evaluator_saturated_weights(seed, hidden, train, scale):
+    # one call takes b1 lines both by the addition formula and by tanh rows
+    spec = MlpSpec(hidden_units=hidden, train_points=train, trials=1)
+    obj = mlp_objective(spec, BENCHMARK_IDS[seed % 3], data_seed=seed)
+    rng = np.random.default_rng(seed)
+    H, width = hidden, LINE_CHUNK // train
+    p = half_calm_params(rng, spec, seed, scale)
     blocks = [np.arange(H), np.arange(H, 2 * H), np.arange(2 * H, 3 * H),
               np.array([3 * H])]
     idx = np.concatenate([
@@ -373,3 +379,40 @@ def test_line_evaluator_saturated_weights(seed, hidden, train, scale):
     assert np.array_equal(mids, fast[mid])
     for m, value in zip(picks, single):
         assert np.array_equal(value, fast[m:m + 1])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(2, 8),
+       train=st.integers(30, 240), scale=st.floats(3.0, 40.0),
+       K=st.integers(1, 60))
+def test_line_evaluator_takes_whole_lines(seed, hidden, train, scale, K):
+    # lines of all four kinds (w_j, b1_j of calm and of saturated units, the
+    # output side) in random order, some twice, K abscissae each with one
+    # at the line's mid node t = p[i]; long enough to span several chunks
+    spec = MlpSpec(hidden_units=hidden, train_points=train, trials=1)
+    target = BENCHMARK_IDS[seed % 3]
+    obj = mlp_objective(spec, target, data_seed=seed)
+    rng = np.random.default_rng(seed)
+    p = half_calm_params(rng, spec, seed, scale)
+    lines = rng.permutation(np.concatenate([
+        np.arange(p.size), rng.integers(0, p.size, p.size // 2)]))
+    ts = rng.uniform(-scale, scale, (lines.size, K))
+    ts[np.arange(lines.size), rng.integers(0, K, lines.size)] = p[lines]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = obj.eval_line(p, lines, ts.ravel())
+        one_by_one = [obj.eval_line(p, i, row) for i, row in zip(lines, ts)]
+        per_point = obj.eval_line(p, np.repeat(lines, K), ts.ravel())
+    assert fast.shape == (ts.size,)
+    assert np.array_equal(fast, np.concatenate(one_by_one))
+    assert np.array_equal(fast, per_point)
+    with pytest.raises(ValueError):
+        obj.eval_line(p, lines, ts.ravel()[1:])
+    # fn is the plain formula, bit for bit
+    H = hidden
+    z = mlp_dataset(spec, seed)
+    tv = benchmark_fn(target, z)
+    for q in (p, rng.uniform(-scale, scale, p.size)):
+        w, b1, v, b2 = q[:H], q[H:2 * H], q[2 * H:3 * H], q[3 * H]
+        want = np.mean((np.tanh(np.outer(z, w) + b1) @ v + b2 - tv) ** 2)
+        assert obj.eval_uncounted(q) == float(want)
