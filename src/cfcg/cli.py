@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import operator
 import sys
 import time
@@ -217,10 +218,12 @@ def write_rows(rows, path, fmt):
             for row in rows:
                 writer.writerow([_fmt(getattr(row, name)) for name in ResultRow.FIELDS])
     elif fmt == "json":
-        payload = [{name: getattr(row, name) for name in ResultRow.FIELDS}
+        # JSON has no nan or infinity: a non-finite float is written null
+        payload = [{name: None if isinstance(v := getattr(row, name), float)
+                    and not math.isfinite(v) else v for name in ResultRow.FIELDS}
                    for row in rows]
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump(payload, fh, indent=1, allow_nan=False)
             fh.write("\n")
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
@@ -235,55 +238,39 @@ _TRACE_FIELDS = (("k", "%d"), ("f_value", "%.17g"), ("grad_norm", "%.17g"),
                  ("step", "%.17g"), ("beta", "%.17g"),
                  ("descent_inner", "%.17g"), ("cos_theta", "%.17g"),
                  ("restarted", "%d"), ("dist_to_reference", "%.17g"))
-# rows whose fields are gathered at a time, which bounds the lists held
-_TRACE_BLOCK = 128
 
 
-def _trace_field(spec, value):
-    """value as _fmt makes it: a non-float in a float column by str."""
-    if value is None:
-        return ""
-    return spec % value if spec == "%d" or isinstance(value, float) else str(value)
-
-
-def _trace_lines(block):
-    """The csv lines of a list of trace records, made as they are read.  A
-    field that holds the very same object in every row of two or more is
+def _trace_lines(records):
+    """The csv lines of a list of trace records, each column built once.
+    A float column that holds any non-float goes through _fmt.  A column
+    that holds the very same object in every row of two or more is
     formatted once, into the row format: `is`, not `==`, since
-    0.0 == -0.0."""
+    0.0 == -0.0.  k differs per row, so at least one column is zipped."""
     specs, columns = [], []
     for name, spec in _TRACE_FIELDS:
-        get = operator.attrgetter(name)
-        first = get(block[0]) if block else None
-        if len(block) > 1 and all(map(operator.is_, map(get, block),
-                                      itertools.repeat(first))):
-            specs.append(_trace_field(spec, first))
-            continue
-        values = list(map(get, block))
+        values = list(map(operator.attrgetter(name), records))
         if spec != "%d" and not all(map(float.__instancecheck__, values)):
-            spec, values = "%s", [_trace_field(spec, v) for v in values]
-        specs.append(spec)
-        columns.append(values)
+            spec, values = "%s", ["" if v is None else _fmt(v) for v in values]
+        if len(values) > 1 and all(
+                map(operator.is_, values, itertools.repeat(values[0]))):
+            specs.append(spec % values[0])
+        else:
+            specs.append(spec)
+            columns.append(values)
     return map((",".join(specs) + "\r\n").__mod__, zip(*columns))
 
 
 def write_trace_csv(trace, path):
-    """Write a trace as csv.writer writes its records' _fmt fields.
-
-    The rows above the terminal row go out in blocks of _TRACE_BLOCK, and
-    the terminal row alone, so a field that a run holds fixed (a fixed
-    step, steepest descent's beta 0.0 and cos_theta 1.0, restarted) is
-    formatted once per block, not once per row.
-    """
+    """Write a trace as csv.writer writes its records' _fmt fields: the
+    rows above the terminal row in one pass, so a field that a run holds
+    fixed (a fixed step, steepest descent's beta 0.0 and cos_theta 1.0,
+    restarted) is formatted once per run, then the terminal row alone."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    n = len(trace) - 1
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for start in range(0, n, _TRACE_BLOCK):
-            fh.writelines(
-                _trace_lines(trace[start:min(start + _TRACE_BLOCK, n)]))
-        fh.writelines(_trace_lines(trace[n:]))
+        fh.writelines(_trace_lines(trace[:-1]))
+        fh.writelines(_trace_lines(trace[-1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +529,8 @@ def _check_config(config):
                           f"n={config.n}")
     if config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
-    if not all(g >= 0.0 for g in config.gamma_grid):
-        raise ConfigError("gamma must be nonnegative, got "
+    if not all(0.0 <= g < math.inf for g in config.gamma_grid):
+        raise ConfigError("gamma must be nonnegative and finite, got "
                           + _format_value(config.gamma_grid))
     try:
         config.line_search()

@@ -275,7 +275,7 @@ def armijo_wolfe_search(f, grad, x, d, g, params, f_x=None):
     eta = 1.0
     for j in range(params.max_trials):
         x_new = x + eta * d
-        x_new.flags.writeable = False
+        x_new.setflags(write=False)
         f_new = f.eval(x_new)
         if f_new <= f_x + params.c1 * eta * gd:
             g_new = grad(x_new)
@@ -328,7 +328,7 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     etas = rule.etas if kind is None else None
 
     x = np.array(x0, dtype=float)
-    x.flags.writeable = False
+    x.setflags(write=False)
     f_x = f.eval(x)
     g = grad(x)
     g_prev = d_prev = None
@@ -356,8 +356,7 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
             break
 
         if kind is None:
-            # d = -g, so each trial point is x - eta g, bit for bit x + eta d;
-            # setflags takes about half the time of flags.writeable = False
+            # d = -g, so each trial point is x - eta g, bit for bit x + eta d
             restarted, beta, cos_theta = False, 0.0, 1.0
             descent_inner = -gn * gn
             eta = etas[0]

@@ -114,7 +114,8 @@ def _line_weights(alpha, node_count):
     _, w = _unit_rule(alpha, node_count)
     a1 = np.convolve(w, [1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
     a2 = np.convolve(w, [-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-    a1.flags.writeable = a2.flags.writeable = False
+    a1.setflags(write=False)
+    a2.setflags(write=False)
     return a1, a2
 
 
@@ -134,14 +135,9 @@ def frac_gradient_quadratic(A, b, x, params):
             f"dimension mismatch: A {A.shape}, b {b.shape}, x {x.shape}, "
             f"c {params.c.shape}"
         )
-    # a view and one reduction: np.diag copies and np.any dispatches, which
-    # together cost as much as the arithmetic below at n = 100.  fmin skips
-    # nan, so a negative entry beside a nan is still caught; it has no
-    # identity, so the empty case is left out
-    diag = A.diagonal()
-    if n and np.fmin.reduce(diag) < 0.0:
+    if np.any(A.diagonal() < 0.0):
         raise ValueError("A has a negative diagonal entry; Rbar is undefined")
-    rbar = np.sqrt(diag)
+    rbar = np.sqrt(A.diagonal())
     return A @ x + b + params.gamma * rbar * (x - params.c)
 
 

@@ -1,7 +1,10 @@
 import csv
 import dataclasses
+import io
 import json
 import math
+import random
+import struct
 import typing
 from pathlib import Path
 
@@ -13,8 +16,7 @@ from hypothesis import strategies as st
 from cfcg.cli import (ConfigError, ExperimentConfig, ResultRow, load_config,
                       main, run_example1, run_example2, run_single,
                       save_config, write_rows, write_trace_csv, TRACE_COLUMNS,
-                      _TRACE_BLOCK, _example1_instance, _fmt, _run_cell,
-                      _tikhonov_problem)
+                      _example1_instance, _fmt, _run_cell, _tikhonov_problem)
 from cfcg.engine import (IterRecord, LineSearchParams, RunStatus,
                          StopCriteria, cfcg_minimize)
 from cfcg.fraccalc import FracParams
@@ -145,9 +147,9 @@ def _fixed_step_trace(rows, step=lambda k: 0.125, beta=lambda k: 0.0,
             for k in range(rows)] + [_terminal(rows, 0.1)]
 
 
-# write_trace_csv formats a field once per block when it holds the very same
-# object in every row of the block; these traces hold what that must get
-# right
+# write_trace_csv formats a field once per run when it holds the very same
+# object in every row above the terminal row; these traces hold what that
+# must get right
 HAND_TRACES = {
     # the values the golden traces never hold: non-finite, signed zero,
     # subnormal, an int step, a restart and a missing distance
@@ -173,15 +175,59 @@ HAND_TRACES = {
     "distance-missing-in-all-rows": _fixed_step_trace(4, dist=lambda k: None),
     "one-row": [_terminal(0, 0.5)],
     "two-rows": _fixed_step_trace(1),
-    # the step object changes inside the second block, the distance goes
-    # missing across the first boundary, and beta's sign across the second
+    # a long run whose step object changes part way, whose distance goes
+    # missing for a few rows, and whose beta changes sign near its end
     "blocks": _fixed_step_trace(
-        2 * _TRACE_BLOCK + 3,
-        step=lambda k: _STEP if k < _TRACE_BLOCK + 5 else 0.125,
-        beta=lambda k: -0.0 if k >= 2 * _TRACE_BLOCK else 0.0,
-        dist=lambda k: None if _TRACE_BLOCK - 2 <= k <= _TRACE_BLOCK + 1
-        else float(k)),
+        2 * 128 + 3,
+        step=lambda k: _STEP if k < 128 + 5 else 0.125,
+        beta=lambda k: -0.0 if k >= 2 * 128 else 0.0,
+        dist=lambda k: None if 128 - 2 <= k <= 128 + 1 else float(k)),
 }
+
+# objects that many rows of a run can share
+_SHARED = (0.0, -0.0, math.nan, math.inf, 5e-324, 2e-4)
+
+
+def _drawn_value(rnd):
+    """A shared object, a fresh float of any bit pattern, or an int up to
+    10**17, as a float column may hold."""
+    kind = rnd.randrange(3)
+    if kind == 0:
+        return rnd.choice(_SHARED)
+    if kind == 1:
+        return struct.unpack("<d", rnd.randbytes(8))[0]
+    return rnd.randint(0, 10**17)
+
+
+def _drawn_distance(rnd):
+    return None if rnd.random() < 0.3 else float(_drawn_value(rnd))
+
+
+def _drawn_column(rnd, mode, rows, draw):
+    """rows values of one column: one object in every row (mode 0), a new
+    but equal object per row (mode 1) or a value drawn per row (mode 2)."""
+    if mode == 2:
+        return [draw(rnd) for _ in range(rows)]
+    value = draw(rnd)
+    if mode == 1 and type(value) in (int, float):
+        return [type(value)(repr(value)) for _ in range(rows)]
+    return [value] * rows
+
+
+def csv_writer_trace(trace):
+    """The bytes that csv.writer writes for a trace's _fmt fields, the
+    reference that write_trace_csv must match."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(TRACE_COLUMNS)
+    for rec in trace:
+        writer.writerow([
+            rec.k, _fmt(rec.f_value), _fmt(rec.grad_norm), _fmt(rec.step),
+            _fmt(rec.beta), _fmt(rec.descent_inner), _fmt(rec.cos_theta),
+            int(rec.restarted),
+            "" if rec.dist_to_reference is None
+            else _fmt(rec.dist_to_reference)])
+    return buf.getvalue().encode()
 
 
 class TestSerialization:
@@ -198,9 +244,17 @@ class TestSerialization:
     def test_json_matches_csv_schema(self, tmp_path):
         rows = run_example1(TINY)
         write_rows(rows, tmp_path / "r.json", "json")
-        payload = json.loads((tmp_path / "r.json").read_text())
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        payload = json.loads((tmp_path / "r.json").read_text(),
+                             parse_constant=reject)
         assert len(payload) == len(rows)
         assert tuple(payload[0].keys()) == ResultRow.FIELDS
+        # a CFCG row's step_param is nan, which JSON writes as null
+        cfcg = [row for row in payload if row["solver"] == "CFCG"]
+        assert cfcg and all(row["step_param"] is None for row in cfcg)
 
     def test_golden_miniature_run(self, tmp_path):
         # regression pin on the full row content of a seeded miniature run
@@ -217,21 +271,29 @@ class TestSerialization:
 
     def test_trace_bytes_match_csv_writer(self, tmp_path):
         for name, trace in sorted(HAND_TRACES.items()):
-            want = tmp_path / f"want-{name}.csv"
-            with open(want, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(TRACE_COLUMNS)
-                for rec in trace:
-                    writer.writerow([
-                        rec.k, _fmt(rec.f_value), _fmt(rec.grad_norm),
-                        _fmt(rec.step), _fmt(rec.beta),
-                        _fmt(rec.descent_inner), _fmt(rec.cos_theta),
-                        int(rec.restarted),
-                        "" if rec.dist_to_reference is None
-                        else _fmt(rec.dist_to_reference)])
             got = tmp_path / f"got-{name}.csv"
             write_trace_csv(trace, got)
-            assert got.read_bytes() == want.read_bytes(), name
+            assert got.read_bytes() == csv_writer_trace(trace), name
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rows=st.integers(0, 299),
+           modes=st.lists(st.integers(0, 2), min_size=8, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_drawn_trace_bytes_match_csv_writer(self, tmp_path_factory, rows,
+                                                modes, seed):
+        # 1-300 rows: each column above the terminal row is one object, equal
+        # copies, or drawn per row
+        rnd = random.Random(seed)
+        draws = [_drawn_value] * 6 + [lambda r: r.random() < 0.5,
+                                      _drawn_distance]
+        columns = [_drawn_column(rnd, mode, rows, draw)
+                   for mode, draw in zip(modes, draws)]
+        trace = [IterRecord(k, *fields)
+                 for k, fields in enumerate(zip(*columns))]
+        trace.append(_terminal(rows, _drawn_distance(rnd)))
+        got = tmp_path_factory.getbasetemp() / "drawn-trace.csv"
+        write_trace_csv(trace, got)
+        assert got.read_bytes() == csv_writer_trace(trace)
 
     def test_trace_float_precision_round_trips(self, tmp_path):
         config = TINY
@@ -498,6 +560,11 @@ class TestMainEntry:
     @pytest.mark.parametrize("argv", [
         pytest.param(["example1", "--beta", "XX"], id="beta-XX"),
         pytest.param(["example1", "--gamma", "1,abc"], id="gamma-not-a-number"),
+        # an infinite gamma gave numpy warnings and a LinAlgError row per cell
+        pytest.param(["example1", "--gamma", "inf"], id="gamma-infinite"),
+        pytest.param(["example1", "--config",
+                      "m = 8\nn = 8\ngamma_grid = 0.5,inf\n"],
+                     id="gamma-grid-infinite"),
         pytest.param(["example1", "--gamma", "-5"], id="gamma-negative"),
         pytest.param(["single", "--problem", "example1", "--gamma", "-5"],
                      id="single-gamma-negative"),
