@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import (BetaKind, GridStep, LineSearchParams, RunStatus,
-                     StopCriteria, cfcg_minimize, cfsd_minimize)
+from .engine import (BetaKind, GridStep, RunStatus, StopCriteria,
+                     cfcg_minimize, cfsd_minimize)
 from .fraccalc import FracParams, QuadratureSpec
 from .problems import (BENCHMARK_IDS, Example1Config, MlpSpec, gen_example1,
                        mlp_init, mlp_lower_terminal, mlp_objective,
@@ -53,6 +53,9 @@ __all__ = [
 ALL_KINDS = tuple(k.value for k in BetaKind)
 SOLVERS = ("CFCG", "CFSD")
 OUTPUT_FORMATS = ("csv", "json")
+# the CFSD step rules: example1's fixed step and the networks' grid
+EXAMPLE1_SD_RULE = GridStep((2e-4,))
+MLP_SD_RULE = GridStep((0.01, 0.005, 0.001, 0.0005, 0.0001, 0.00005, 0.00001))
 
 
 @dataclass
@@ -66,12 +69,6 @@ class ExperimentConfig:
     solvers: tuple[str, ...] = SOLVERS
     grad_tol: float = 1e-4
     max_iter: int = 2000
-    c1: float = 1e-4
-    c2: float = 0.9
-    backtrack_ratio: float = 0.5
-    max_trials: int = 60
-    sd_step: float = 2e-4
-    sd_grid: tuple[float, ...] = (0.01, 0.005, 0.001, 0.0005, 0.0001, 0.00005, 0.00001)
     f_decrease_tol: float = 1e-4
     node_count: int = 32
     m: int = 100
@@ -89,13 +86,6 @@ class ExperimentConfig:
         # one case rule for beta kinds and solvers, wherever they come from
         self.beta_kinds = tuple(k.upper() for k in self.beta_kinds)
         self.solvers = tuple(s.upper() for s in self.solvers)
-
-    def line_search(self):
-        return LineSearchParams(self.c1, self.c2, self.backtrack_ratio,
-                                self.max_trials)
-
-    def quad_spec(self):
-        return QuadratureSpec(self.node_count)
 
 
 @dataclass
@@ -312,8 +302,7 @@ def _run_cell(config, problem, solver, beta, out_dir=None, trace_name=None):
     p.objective.reset_counters()
     t0 = time.perf_counter()
     if solver == "CFCG":
-        report = cfcg_minimize(p.objective, p.x0, p.frac, beta,
-                               ls=config.line_search(), stop=p.stop,
+        report = cfcg_minimize(p.objective, p.x0, p.frac, beta, stop=p.stop,
                                quad=p.quad, reference=p.reference)
         step_param = float("nan")
     else:
@@ -339,7 +328,7 @@ def _tikhonov_problem(config, prob, x0, frac, gamma):
     objective, target, _ = tikhonov_run_objective(prob, frac)
     return _Problem(objective, x0, frac,
                     StopCriteria(config.grad_tol, config.max_iter),
-                    GridStep((config.sd_step,)), reference=target)
+                    EXAMPLE1_SD_RULE, reference=target)
 
 
 def _example1_cell(config, experiment, setup, solver, beta, gamma, out_dir,
@@ -395,7 +384,7 @@ def _mlp_problem(config, alpha, target, trial):
         FracParams(alpha, config.rho, mlp_lower_terminal(spec)),
         StopCriteria(config.grad_tol, config.max_iter,
                      f_decrease_tol=config.f_decrease_tol),
-        GridStep(config.sd_grid), quad=config.quad_spec())
+        MLP_SD_RULE, quad=QuadratureSpec(config.node_count))
 
 
 def _mean_row(reports, walls, config, solver, beta, alpha, target, step_param):
@@ -519,11 +508,15 @@ def _check_config(config):
         bad = [name for name in names if name not in known]
         if bad:
             raise ConfigError(f"unknown {what}(s): {', '.join(bad)}")
+    # gamma and alpha compare as the trace names give them: :g, 6 digits
     for name in ("beta_kinds", "solvers", "gamma_grid", "targets", "alpha_grid"):
-        values = getattr(config, name)
-        if len(set(values)) < len(values):
-            raise ConfigError(f"repeated entries in {name}: "
-                              + _format_value(values))
+        seen = {}
+        for value in getattr(config, name):
+            key = f"{value:g}" if isinstance(value, float) else value
+            if key in seen:
+                raise ConfigError(f"repeated entries in {name}: "
+                                  + _format_value((seen[key], value)))
+            seen[key] = value
     if config.m < 1 or config.n < 1:
         raise ConfigError(f"m and n must be positive, got m={config.m}, "
                           f"n={config.n}")
@@ -533,11 +526,8 @@ def _check_config(config):
         raise ConfigError("gamma must be nonnegative and finite, got "
                           + _format_value(config.gamma_grid))
     try:
-        config.line_search()
-        config.quad_spec()
+        QuadratureSpec(config.node_count)
         StopCriteria(config.grad_tol, config.max_iter, config.f_decrease_tol)
-        GridStep((config.sd_step,))
-        GridStep(config.sd_grid)
         MlpSpec(hidden_units=config.hidden_units,
                 train_points=config.train_points, trials=config.trials)
         for alpha in config.alpha_grid + (config.alpha,):

@@ -78,7 +78,7 @@ def kept_vector_cells():
         for kind in ALL_KINDS:
             objective, target, _ = tikhonov_run_objective(prob, frac)
             report = cfcg_minimize(
-                objective, x0, frac, kind, ls=config.line_search(),
+                objective, x0, frac, kind, ls=LineSearchParams(),
                 stop=StopCriteria(config.grad_tol, config.max_iter),
                 reference=target, keep_vectors=True)
             cells[(gamma, kind)] = (report, objective)

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfcg.cli import (ConfigError, ExperimentConfig, ResultRow, load_config,
-                      main, run_example1, run_example2, run_single,
-                      save_config, write_rows, write_trace_csv, TRACE_COLUMNS,
+from cfcg.cli import (EXAMPLE1_SD_RULE, MLP_SD_RULE, ConfigError,
+                      ExperimentConfig, ResultRow, load_config, main,
+                      run_example1, run_example2, run_single, save_config,
+                      write_rows, write_trace_csv, TRACE_COLUMNS,
                       _example1_instance, _fmt, _run_cell, _tikhonov_problem)
 from cfcg.engine import (IterRecord, LineSearchParams, RunStatus,
                          StopCriteria, cfcg_minimize)
@@ -60,7 +61,7 @@ class TestConfigFile:
         config = dataclasses.replace(
             ExperimentConfig(), seed=99, beta_kinds=("CD", "HS"),
             gamma_grid=(0.25, 1.5), alpha=0.75, trials=2, write_traces=False,
-            format="json", sd_grid=(0.1, 0.01))
+            format="json", alpha_grid=(0.5, 0.25))
         path = tmp_path / "bench.cfg"
         save_config(config, path)
         assert load_config(path) == config
@@ -422,7 +423,7 @@ class TestExample2Runner:
             assert row.trials_completed == 2
             assert row.experiment == "example2"
         sd = next(r for r in rows if r.solver == "CFSD")
-        assert sd.step_param == max(self.CONFIG.sd_grid)
+        assert sd.step_param == max(MLP_SD_RULE.etas)
 
     def test_solvers_select_the_cells(self):
         config = dataclasses.replace(self.CONFIG, trials=1, solvers=("CFSD",))
@@ -483,12 +484,12 @@ class TestSingleRunner:
         frac = FracParams(config.alpha, config.rho, c)
         objective, target, _ = tikhonov_run_objective(prob, frac)
         report = cfcg_minimize(objective, x0, frac, config.beta_kinds[0],
-                               ls=config.line_search(),
+                               ls=LineSearchParams(),
                                stop=StopCriteria(config.grad_tol, config.max_iter),
                                reference=target, keep_vectors=True)
         slack = recheck_armijo_wolfe(report, objective,
                                      objective.frac_gradient,
-                                     config.line_search())
+                                     LineSearchParams())
         assert slack >= -1e-12
 
     @pytest.mark.parametrize("solver", ["CFCG", "CFSD"])
@@ -501,8 +502,8 @@ class TestSingleRunner:
         assert row.target == "h2"
         assert report.iterations <= 30
         if solver == "CFSD":
-            # the rule run_single uses on MLP problems is the sd_grid search
-            assert row.step_param == max(config.sd_grid)
+            # the rule run_single uses on MLP problems is the grid search
+            assert row.step_param == max(MLP_SD_RULE.etas)
         else:
             assert math.isnan(row.step_param)
 
@@ -571,10 +572,32 @@ class TestMainEntry:
         pytest.param(["single", "--problem", "mlp-h9"], id="unknown-mlp-target"),
         pytest.param(["single", "--problem", "mlp-h1", "--gamma", "-5"],
                      id="mlp-gamma-negative"),
-        pytest.param(["example1", "--config", "sd_step = 0\n"],
-                     id="sd-step-nonpositive"),
+        # the line-search settings and CFSD steps are constants: a file
+        # that sets one, whatever the value, exits 2 as an unknown key
+        pytest.param(["example1", "--config", "c1 = 0.0001\n"],
+                     id="removed-key-c1"),
+        pytest.param(["example1", "--config", "c2 = 0.9\n"],
+                     id="removed-key-c2"),
+        pytest.param(["example1", "--config", "backtrack_ratio = 0.5\n"],
+                     id="removed-key-backtrack-ratio"),
+        pytest.param(["example1", "--config", "max_trials = 60\n"],
+                     id="removed-key-max-trials"),
+        pytest.param(["example1", "--config", "sd_step = 0.0002\n"],
+                     id="removed-key-sd-step"),
         pytest.param(["single", "--problem", "mlp-h1", "--config",
-                      "sd_step = nan\n"], id="mlp-sd-step-nan"),
+                      "sd_step = 0.0002\n"], id="mlp-removed-key-sd-step"),
+        pytest.param(["example2", "--config", "sd_grid = 0.01,0.005\n"],
+                     id="removed-key-sd-grid"),
+        # nor can a file set a nan or infinite step
+        pytest.param(["single", "--problem", "mlp-h1", "--solver", "CFSD",
+                      "--max-iter", "1", "--config", "sd_grid = 0.1,nan\n"],
+                     id="sd-grid-nan"),
+        pytest.param(["example1", "--config", "m = 8\nn = 8\nsd_step = inf\n"],
+                     id="sd-step-infinite"),
+        pytest.param(["example2", "--config",
+                      "sd_grid = 0.01,inf\ntargets = h1\nhidden_units = 2\n"
+                      "train_points = 4\ntrials = 1\nmax_iter = 1\n"],
+                     id="sd-grid-infinite"),
         pytest.param(["single", "--config", "format = xml\n"],
                      id="format-unknown"),
         pytest.param(["single", "--format", "xml"], id="format-flag-unknown"),
@@ -586,8 +609,6 @@ class TestMainEntry:
         pytest.param(["example2", "--config", "targets = h2,h9\n"],
                      id="unknown-example2-target"),
         pytest.param(["example2", "--config", "trials = 0\n"], id="trials-zero"),
-        pytest.param(["example2", "--config", "sd_grid = 0.01,0\n"],
-                     id="sd-grid-nonpositive"),
         pytest.param(["example2", "--config", "node_count = 1\n"],
                      id="node-count-one"),
         pytest.param(["single", "--problem", "mlp-h1", "--config",
@@ -606,9 +627,6 @@ class TestMainEntry:
         pytest.param(["single", "--problem", "mlp-h1", "--max-iter", "1",
                       "--config", "f_decrease_tol = nan\n"],
                      id="f-decrease-tol-nan"),
-        pytest.param(["single", "--problem", "mlp-h1", "--solver", "CFSD",
-                      "--max-iter", "1", "--config", "sd_grid = 0.1,nan\n"],
-                     id="sd-grid-nan"),
         pytest.param(["example1", "--config", "beta_kinds =\n"],
                      id="beta-kinds-empty"),
         pytest.param(["single", "--config", "solvers =\n"],
@@ -637,6 +655,16 @@ class TestMainEntry:
                       "train_points = 4\ntrials = 1\nmax_iter = 1\n"
                       "beta_kinds = FR\n"],
                      id="alpha-grid-repeated"),
+        # trace names hold gamma and alpha to 6 significant digits, so
+        # these entries would write the same trace files
+        pytest.param(["example1", "--gamma", "0.5,0.5000001", "--config",
+                      "m = 8\nn = 8\nbeta_kinds = FR\n"],
+                     id="gamma-grid-same-trace-name"),
+        pytest.param(["example2", "--config",
+                      "alpha_grid = 0.9,0.9000001\ntargets = h1\n"
+                      "hidden_units = 2\ntrain_points = 4\ntrials = 1\n"
+                      "max_iter = 1\nbeta_kinds = FR\n"],
+                     id="alpha-grid-same-trace-name"),
         # every flag value is read as a file value is
         pytest.param(["example1", "--seed", "x"], id="seed-not-an-int"),
         pytest.param(["example1", "--max-iter", "1.5"], id="max-iter-not-an-int"),
@@ -648,13 +676,6 @@ class TestMainEntry:
         pytest.param(["example1", "--seed", "-1"], id="example1-seed-negative"),
         pytest.param(["example2", "--seed", "-1"], id="example2-seed-negative"),
         pytest.param(["single", "--seed", "-1"], id="single-seed-negative"),
-        # an infinite step makes every CFSD iterate non-finite
-        pytest.param(["example1", "--config", "m = 8\nn = 8\nsd_step = inf\n"],
-                     id="sd-step-infinite"),
-        pytest.param(["example2", "--config",
-                      "sd_grid = 0.01,inf\ntargets = h1\nhidden_units = 2\n"
-                      "train_points = 4\ntrials = 1\nmax_iter = 1\n"],
-                     id="sd-grid-infinite"),
         # a config file that cannot be read: None leaves the path missing
         pytest.param(["example1", "--config", None], id="config-missing"),
         pytest.param(["example1", "--config", b"seed = \xff\n"],
@@ -786,7 +807,7 @@ class TestMainEntry:
               "--out", str(tmp_path / "o")])
         row = read_csv_rows(tmp_path / "o" / "results.csv")[0]
         assert (row["solver"], row["beta"], row["gamma"]) == ("CFSD", "", "2")
-        assert float(row["step_param"]) == ExperimentConfig().sd_step
+        assert float(row["step_param"]) == max(EXAMPLE1_SD_RULE.etas)
 
     @pytest.mark.parametrize("m, n", [(12, 8), (8, 12)])
     def test_example1_runs_when_m_differs_from_n(self, m, n, tmp_path):

@@ -432,6 +432,11 @@ class TestCfsd:
             GridStep(())
         with pytest.raises(ValueError):
             GridStep((0.1, -0.2))
+        # an infinite step makes every iterate non-finite
+        with pytest.raises(ValueError):
+            GridStep((0.1, math.inf))
+        with pytest.raises(ValueError):
+            GridStep((0.1, math.nan))
 
 
 @pytest.mark.parametrize("solve", [
