@@ -70,6 +70,8 @@ class ExperimentConfig:
     grad_tol: float = 1e-4
     max_iter: int = 2000
     f_decrease_tol: float = 1e-4
+    # cells of the trapezoid rule, taken only for objectives without
+    # eval_line: no problem here uses it, but the benchmark sets the key
     node_count: int = 32
     m: int = 100
     n: int = 100

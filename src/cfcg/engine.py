@@ -130,10 +130,15 @@ class Objective:
     """An objective with instrumented call counters.
 
     ``eval`` increments ``objective_evals`` by exactly one per call; the
-    quadrature path probes the function through ``eval_uncounted`` (or the
-    optional vectorized ``eval_line``) so counters reflect only the
-    solver-level evaluations.  ``frac_gradient`` is an optional analytic
-    hook used by quadratic problems in place of quadrature.
+    quadrature path probes the function through ``eval_uncounted`` so
+    counters reflect only the solver-level evaluations.  Two optional
+    hooks replace probes of f.  ``frac_gradient`` is an analytic
+    fractional gradient, used by quadratic problems in place of
+    quadrature.  ``eval_line(x, idx, ts)`` gives f' and f'' along
+    coordinate lines, one ``idx`` entry per line and the lines' abscissae
+    back to back in ``ts``, as a (2, ts.size) array; with it the
+    quadrature takes a Gauss-Jacobi rule (see
+    fraccalc.frac_gradient_general).  Neither touches the counters.
 
     The solvers pass every point they evaluate as a read-only array that
     owns its data, so ``fn`` and ``frac_gradient`` may share work done at

@@ -1,9 +1,11 @@
 """Caputo fractional derivatives and fractional gradients.
 
-Two evaluation paths are provided.  Quadratic objectives use a closed-form
-gradient built from the scalar coefficient ``gamma_coeff``; everything else
-goes through a product-integration (L1-type) quadrature of the weakly
-singular Caputo kernel along each coordinate line.
+Three evaluation paths are provided.  Quadratic objectives use a
+closed-form gradient built from the scalar coefficient ``gamma_coeff``.
+An objective whose ``eval_line`` gives f' and f'' along coordinate lines
+gets a Gauss-Jacobi rule for the weakly singular Caputo kernel; everything
+else goes through a product-integration (L1-type) trapezoid rule of that
+kernel along each coordinate line.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ __all__ = [
 
 #: relative step of the central differences near a terminal
 FD_STEP = 1e-5
+
+#: nodes of the Gauss-Jacobi rule on objectives with an ``eval_line`` hook;
+#: exact for f' + rho (x_i - c_i) f'' of degree 2 * JACOBI_NODES - 1
+JACOBI_NODES = 8
 
 
 def _check_alpha(alpha):
@@ -60,7 +66,8 @@ class FracParams:
 class QuadratureSpec:
     """Discretization of the singular-kernel quadrature.
 
-    node_count : subintervals per coordinate line (>= 2)
+    node_count : subintervals per coordinate line (>= 2) of the trapezoid
+                 rule, which only objectives without ``eval_line`` take
 
     The central differences near a terminal take the fixed relative step
     FD_STEP.
@@ -119,6 +126,46 @@ def _line_weights(alpha, node_count):
     return a1, a2
 
 
+@functools.lru_cache(maxsize=16)
+def _jacobi_rule(alpha, node_count):
+    """Nodes s_k, increasing in (0, 1), and weights W_k of the Gauss rule
+    of the weight (1-alpha)(1-s)^(-alpha) on [0, 1], the Jacobi weight
+    (1-u)^(-alpha) on u = 2s - 1 (Golub & Welsch, Math. Comp. 23, 1969).
+
+    The nodes are the eigenvalues of the tridiagonal matrix of the
+    weight's three-term recurrence, found by Sturm-sequence bisection, and
+    the weights are the Christoffel numbers 1 / sum_n p_n(s_k)^2 of its
+    orthonormal polynomials, so no LAPACK routine is loaded.  Made once
+    per (alpha, node_count) and read-only, as every caller shares them.
+    """
+    # the monic Jacobi recurrence (a_n, b_n) of exponents (-alpha, 0) moved
+    # to [0, 1]: diagonal (1 + a_n) / 2, off-diagonal sqrt(b_n) / 2, off[0] 0
+    n = np.arange(node_count, dtype=float)
+    m = 2.0 * n - alpha
+    diag = 0.5 - 0.5 * alpha * alpha / (m * (m + 2.0))
+    off = np.sqrt((n * (n - alpha)) ** 2 / (m * m * (m + 1.0) * (m - 1.0)))
+    lo, hi = np.zeros(node_count), np.ones(node_count)
+    for _ in range(100):  # halves [0, 1] past the last bit of every node
+        mid = 0.5 * (lo + hi)
+        below = np.zeros(node_count)  # eigenvalues below mid, by Sturm count
+        pivot = np.ones(node_count)
+        for j in range(node_count):
+            with np.errstate(divide="ignore"):  # 0 acts as a tiny positive
+                pivot = diag[j] - mid - off[j] ** 2 / pivot
+            below += pivot < 0.0
+        above = below > n  # node n lies below mid
+        hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
+    s = 0.5 * (lo + hi)
+    prev, p, total = 0.0, np.ones(node_count), np.ones(node_count)
+    for j in range(node_count - 1):
+        prev, p = p, ((s - diag[j]) * p - off[j] * prev) / off[j + 1]
+        total += p * p
+    w = 1.0 / total
+    s.setflags(write=False)
+    w.setflags(write=False)
+    return s, w
+
+
 def frac_gradient_quadratic(A, b, x, params):
     """Closed-form fractional gradient of 0.5 x'Ax + b'x.
 
@@ -143,22 +190,15 @@ def frac_gradient_quadratic(A, b, x, params):
 
 def _line_samples(f, x, ii, pts):
     """f along the coordinate lines ii at the abscissae ``pts``, one row
-    per coordinate, returned in that shape.  An objective's vectorized
-    ``eval_line(x, idx, ts)`` gets all the lines in one call, one idx
-    entry per line and their rows back to back in ts; otherwise
-    ``eval_uncounted`` (or the plain callable) is probed point by point.
-    """
-    line = getattr(f, "eval_line", None)
-    if line is not None:
-        out = np.asarray(line(x, ii, pts.ravel()), dtype=float)
-    else:
-        fn = getattr(f, "eval_uncounted", f)
-        z = np.array(x, dtype=float)
-        out = np.empty(pts.size)
-        for j, (i, t) in enumerate(zip(np.repeat(ii, pts.shape[1]), pts.flat)):
-            z[i] = t
-            out[j] = fn(z)
-            z[i] = x[i]
+    per coordinate, returned in that shape, probed point by point through
+    ``eval_uncounted`` (or the plain callable)."""
+    fn = getattr(f, "eval_uncounted", f)
+    z = np.array(x, dtype=float)
+    out = np.empty(pts.size)
+    for j, (i, t) in enumerate(zip(np.repeat(ii, pts.shape[1]), pts.flat)):
+        z[i] = t
+        out[j] = fn(z)
+        z[i] = x[i]
     return out.reshape(pts.shape)
 
 
@@ -169,33 +209,42 @@ def frac_gradient_general(f, x, params, spec):
     Coordinate i is
         [ D^alpha f + rho |x_i - c_i| D^(1+alpha) f ] / D^alpha I
     on the interval between c_i and x_i, with the kernel singular at x_i.
-    The product-trapezoid weights on that interval are
-    |x_i - c_i|^(1-alpha) times one fixed vector, and D^alpha I cancels
-    them exactly, so the value is a weighted mean along the line,
-        sum_j w_j [ f'(t_j) + rho (x_i - c_i) f''(t_j) ],
-    with weights that sum to one and t_j running from c_i to x_i.  The
-    form holds for either sign of x_i - c_i.
+    With t = c_i + s (x_i - c_i), D^alpha I cancels the interval's length,
+    so the value is the mean of f'(t) + rho (x_i - c_i) f''(t) over s in
+    [0, 1] under the weight (1-alpha)(1-s)^(-alpha), which integrates to
+    one; this holds for either sign of x_i - c_i.
 
-    f is sampled once per node, at the N+1 rule nodes and two ghost nodes
-    beyond each end (up to 2 |x_i - c_i| / N outside [c_i, x_i]); f' and
-    f'' come from fourth-order central stencils there, exact on quadratics.
-    The stencils are folded into the weights, so each of the two sums is
-    one dot product of the coordinate's samples with a fixed vector.
-    Where |x_i - c_i| / N < h = FD_STEP * max(1, |x_i|), coordinate i is
+    An objective with ``eval_line`` (see engine.Objective) gives f' and
+    f'' at the JACOBI_NODES nodes of the Gauss-Jacobi rule of that weight,
+    t_k = c_i + s_k (x_i - c_i), for every line in one call; spec is not
+    read.  At x_i = c_i every node is x_i and the value is f'(x_i).
+
+    Any other objective takes the product-trapezoid rule of spec.node_count
+    cells, whose weights also sum to one, probing ``eval_uncounted`` (or
+    the plain callable) once per node, at the N+1 rule nodes and two ghost
+    nodes beyond each end (up to 2 |x_i - c_i| / N outside [c_i, x_i]);
+    f' and f'' come from fourth-order central stencils there, exact on
+    quadratics and folded into the weights, so each of the two sums is one
+    dot product of the coordinate's samples with a fixed vector.  Where
+    |x_i - c_i| / N < h = FD_STEP * max(1, |x_i|), coordinate i is
     d1 + rho (x_i - c_i) d2 from central differences of step h at x_i,
     which is continuous at x_i = c_i.
 
-    All the coordinates off their terminal are sampled in one line
-    evaluation, so an objective with a vectorized ``eval_line`` shares its
-    work across them; the near-terminal ones take one more.  Each
-    coordinate's sum is a row-wise reduction of its own samples, so its
-    value does not depend on the other coordinates sampled with it.
+    Each coordinate's sum is a row-wise reduction of its own line's
+    values, so it does not depend on the other coordinates.
     """
     x = np.asarray(x, dtype=float)
     c = params.c
     if x.shape != c.shape:
         raise ValueError(f"x has shape {x.shape} but c has shape {c.shape}")
     span = x - c
+    line = getattr(f, "eval_line", None)
+    if line is not None:
+        s, w = _jacobi_rule(params.alpha, JACOBI_NODES)
+        ts = c[:, None] + span[:, None] * s
+        d1, d2 = np.reshape(line(x, np.arange(x.size), ts.ravel()),
+                            (2,) + ts.shape)
+        return np.vecdot(d1, w) + params.rho * span * np.vecdot(d2, w)
     q = span / spec.node_count
     h = FD_STEP * np.maximum(1.0, np.abs(x))
     k = np.arange(-spec.node_count - 2, 3)  # offsets from x_i in steps of q

@@ -39,11 +39,6 @@ BENCHMARK_IDS = ("h1", "h2", "h3")
 #: mmap threshold
 LINE_CHUNK = 12_000
 
-#: largest |activation| over the training points of a hidden unit whose b1
-#: lines the line evaluator takes by the tanh addition formula; it keeps
-#: that formula's denominator |1 / tanh(t - b1_j) + hid_j| at or above 1/64
-CALM_HID = 1.0 - 1.0 / 64.0
-
 
 @dataclass(frozen=True)
 class Example1Config:
@@ -194,7 +189,8 @@ def mlp_objective(spec, target, data_seed):
 
     The dataset (train_points inputs uniform on (-1, 1)) is drawn
     from data_seed only.  Besides plain evaluation the objective carries a
-    vectorized coordinate-line evaluator used by the quadrature path.
+    vectorized ``eval_line`` that gives f' and f'' along coordinate lines in
+    closed form, which the quadrature path takes in place of f samples.
     """
     rng = np.random.default_rng(data_seed)
     z = rng.uniform(-1.0, 1.0, spec.train_points)
@@ -211,62 +207,58 @@ def mlp_objective(spec, target, data_seed):
         return float(np.add.reduce(np.square(res, out=res)) / z.size)
 
     def eval_line(p, idx, ts):
-        # f(p with p[idx[l]] = t) for every abscissa t of line l, the lines'
-        # K abscissae back to back in ts, from one hidden-layer pass (hid[j]
-        # is unit j over the training points) and the residual r at p
+        # f' and f'' (rows 0 and 1) at p with p[idx[l]] set to each abscissa
+        # of line l, the lines' K abscissae back to back in ts, from one
+        # hidden-layer pass (hid[j] is unit j over the training points) and
+        # the residual r at p
         idx = np.ravel(idx)  # reshape raises ValueError for a fractional K
         ts = np.reshape(np.asarray(ts, dtype=float), (idx.size, -1))
         K = ts.shape[1]
         w, b1, v, b2 = p[:H], p[H:2 * H], p[2 * H:3 * H], p[3 * H]
         hid = np.tanh(np.outer(w, z) + b1[:, None])
         r = v @ hid + b2 - tv
-        out = np.empty(ts.shape)
-        # the kind of each coordinate's line: 0 along w_j, 1 along b1_j of a
-        # saturated unit, 2 along b1_j of a calm one, 3 on the output side
-        line_kind = np.repeat([0, 1, 3], [H, H, H + 1])
-        line_kind[H:2 * H][np.max(np.abs(hid), axis=1) <= CALM_HID] = 2
-        kinds = line_kind[idx]
+        out = np.empty((2,) + ts.shape)
         # along v_j, or b2 as a unit fixed at one, f is the quadratic
-        # mean(r**2) + d (2 mean(r hid[j]) + d mean(hid[j]**2)), d = t - p[i]
-        sel = np.flatnonzero(kinds == 3)
-        j, d = idx[sel, None] - 2 * H, ts[sel] - p[idx[sel], None]
+        # mean(r**2) + d (2 s1 + d s2) in d = t - p[i]
+        sel = np.flatnonzero(idx >= 2 * H)
+        j = idx[sel] - 2 * H
         s1 = np.append((hid * r).sum(axis=1), r.sum()) / z.size
         s2 = np.append((hid * hid).sum(axis=1) / z.size, 1.0)
-        out[sel] = (r * r).sum() / z.size + d * (2.0 * s1[j] + d * s2[j])
-        # along w_j or b1_j one C-ordered (points x train_points) row of the
-        # new residual per point, chunk by chunk, each reduced on its own:
-        # v_j tanh(a) + u_j with u = r - v hid.  Along b1_j of a calm unit,
-        # v_j (tanh(a) - hid_j) is s_j tau / (1 + hid_j tau) = s_j / (mu + hid_j)
-        # with s = v (1 - hid**2), tau = tanh(t - b1_j) and mu = 1 / tau: one
-        # tanh per point.  At t = b1_j mu is +-inf, the quotient 0, the row r
+        out[0, sel] = 2.0 * (s1[j, None]
+                             + (ts[sel] - p[idx[sel], None]) * s2[j, None])
+        out[1, sel] = 2.0 * s2[j, None]
+        # along w_j or b1_j one C-ordered (points x train_points) row per
+        # point, chunk by chunk, each reduced on its own.  The new residual
+        # is u_j + v_j tanh(a) with u = r - v hid and a = z w_j + b1_j at the
+        # new value; with g = v_j sech(a)**2 and q = g z (q = g along b1_j),
+        # f' = 2 mean(res q) and f'' = 2 mean(q q - 2 q res tanh(a) z)
+        # (without that last z along b1_j)
         u = r - v[:, None] * hid
-        s = v[:, None] * (1.0 - hid * hid)
         width = max(1, LINE_CHUNK // z.size)
-        for kind in range(3):
-            sel = np.flatnonzero(kinds == kind)
-            j, t = np.repeat(idx[sel] % H, K), ts[sel].reshape(-1, 1)
-            if kind == 2:
-                with np.errstate(divide="ignore"):
-                    mu = 1.0 / np.tanh(t - b1[j, None])
-            else:
-                c1, c2 = (t, b1[j, None]) if kind == 0 else (w[j, None], t)
-                vj = v[j, None]
-            sq = np.empty(j.size)
+        for block in range(2):
+            sel = np.flatnonzero(idx // H == block)
+            j, t = np.repeat(idx[sel] - block * H, K), ts[sel].reshape(-1, 1)
+            c1, c2 = (t, b1[j, None]) if block == 0 else (w[j, None], t)
+            vj = v[j, None]
+            d = np.empty((2, j.size))
             for m in range(0, j.size, width):
                 jm, rows = j[m:m + width], slice(m, m + width)
-                if kind == 2:
-                    a = hid[jm]
-                    a += mu[rows]
-                    np.divide(s[jm], a, out=a)
-                    a += r
-                else:
-                    a = z * c1[rows]
-                    a += c2[rows]
-                    np.tanh(a, out=a)
-                    a *= vj[rows]
-                    a += u[jm]
-                sq[rows] = np.vecdot(a, a)
-            out[sel] = sq.reshape(sel.size, K) / z.size
-        return out.ravel()
+                th = z * c1[rows]
+                th += c2[rows]
+                np.tanh(th, out=th)
+                q = vj[rows] * th
+                res = u[jm]
+                res += q
+                q *= th
+                np.subtract(vj[rows], q, out=q)
+                if block == 0:
+                    q *= z
+                d[0, rows] = np.vecdot(res, q)
+                res *= th
+                if block == 0:
+                    res *= z
+                d[1, rows] = np.vecdot(q, q) - 2.0 * np.vecdot(q, res)
+            out[:, sel] = d.reshape(2, sel.size, K) * (2.0 / z.size)
+        return out.reshape(2, -1)
 
     return Objective(fn, eval_line=eval_line)

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfcg.cli import ExperimentConfig, _mlp_problem
 from cfcg.engine import Objective, RunStatus, cfcg_minimize
-from cfcg.fraccalc import (FD_STEP, FracParams, QuadratureSpec, _line_weights,
-                           _unit_rule, frac_gradient_general,
-                           frac_gradient_quadratic, gamma_coeff)
-from cfcg.problems import MlpSpec, mlp_init, mlp_lower_terminal, mlp_objective
+from cfcg.fraccalc import (FD_STEP, JACOBI_NODES, FracParams, QuadratureSpec,
+                           _jacobi_rule, _line_weights, _unit_rule,
+                           frac_gradient_general, frac_gradient_quadratic,
+                           gamma_coeff)
+from cfcg.problems import (BENCHMARK_IDS, MlpSpec, benchmark_fn, mlp_init,
+                           mlp_lower_terminal, mlp_objective)
 
 
 def caputo_power_exact(x, power, alpha):
@@ -302,46 +305,77 @@ class TestGeneralGradient:
         assert np.all(np.isfinite(got))
 
     def test_line_evaluator_gives_the_plain_gradient(self):
-        # the two evaluators round f differently in the last bit; the
-        # stencils divide that by the grid step (its square in the rho
-        # term), which is |x_i - c_i| / N, not FD_STEP
+        # the hook path is the Gauss-Jacobi mean of f' + rho (x_i - c_i) f''
+        # of the plain function: here with its derivatives taken by
+        # fourth-order central differences of eval_uncounted at the nodes
         spec = MlpSpec(hidden_units=6, train_points=20, trials=1)
         obj = mlp_objective(spec, "h2", data_seed=5)
-        quad = QuadratureSpec(node_count=16)
-        for rho in (0.0, 0.1, 0.3):
-            params = FracParams(0.9, rho, mlp_lower_terminal(spec))
-            for seed in range(3):
-                x = mlp_init(spec, seed)
-                batched = frac_gradient_general(obj, x, params, quad)
-                plain = frac_gradient_general(obj.eval_uncounted, x, params,
-                                              quad)
-                assert np.max(np.abs(batched - plain)) <= 1e-12
+        c = mlp_lower_terminal(spec)
+        s, w = _jacobi_rule(0.9, JACOBI_NODES)
+        h = 1e-3
+        for seed in range(3):
+            x = mlp_init(spec, seed)
+            span = x - c
+            d1, d2 = np.zeros((2, x.size, s.size))
+            for i in range(x.size):
+                for k, t in enumerate(c[i] + span[i] * s):
+                    lo2, lo1, mid, up1, up2 = (
+                        obj.eval_uncounted(np.where(np.arange(x.size) == i,
+                                                    t + m * h, x))
+                        for m in (-2, -1, 0, 1, 2))
+                    d1[i, k] = (lo2 - up2 + 8.0 * (up1 - lo1)) / (12.0 * h)
+                    d2[i, k] = ((16.0 * (lo1 + up1) - lo2 - up2 - 30.0 * mid)
+                                / (12.0 * h * h))
+            for rho in (0.0, 0.1, 0.3):
+                got = frac_gradient_general(obj, x, FracParams(0.9, rho, c),
+                                            QuadratureSpec())
+                want = d1 @ w + rho * span * (d2 @ w)
+                assert np.max(np.abs(got - want)) <= 1e-8
 
     def test_samples_each_node_once(self):
-        # N+1 rule nodes and two ghost nodes beyond each end per coordinate
-        # off its terminal, three points per coordinate near it; one line
-        # evaluation for the first kind and one more for the second
+        # one line evaluation per gradient: every coordinate's line, with
+        # its JACOBI_NODES nodes c_i + s_k (x_i - c_i) back to back, also
+        # for a coordinate near or on its terminal
         spec = MlpSpec(hidden_units=20, train_points=10, trials=1)
         obj = mlp_objective(spec, "h1", data_seed=2)
         c = mlp_lower_terminal(spec)
         params = FracParams(0.8, 0.2, c)
-        quad = QuadratureSpec(node_count=32)
-        points = []
+        calls = []
 
         class Counting:
             @staticmethod
             def eval_line(x, idx, ts):
-                points.append(np.size(ts))
+                calls.append((idx, ts))
                 return obj.eval_line(x, idx, ts)
 
+        s, _ = _jacobi_rule(0.8, JACOBI_NODES)
         x = mlp_init(spec, 1)
-        n = x.size
-        frac_gradient_general(Counting, x, params, quad)
-        assert points == [(32 + 5) * n]
-        points.clear()
-        x[3] = c[3] + 1e-6
-        frac_gradient_general(Counting, x, params, quad)
-        assert points == [(32 + 5) * (n - 1), 3]
+        for near in (None, 1e-6, 0.0):
+            if near is not None:
+                x[3] = c[3] + near
+            frac_gradient_general(Counting, x, params, QuadratureSpec())
+            (idx, ts), = calls
+            assert np.array_equal(idx, np.arange(x.size))
+            assert np.array_equal(ts, (c[:, None] + (x - c)[:, None] * s).ravel())
+            calls.clear()
+
+    def test_coordinate_on_its_terminal_is_the_classical_derivative(self):
+        # every node is x_i, and the weights sum to one up to rounding
+        spec = MlpSpec(hidden_units=6, train_points=20, trials=1)
+        obj = mlp_objective(spec, "h3", data_seed=4)
+        c = mlp_lower_terminal(spec)
+        x = mlp_init(spec, 2)
+        on = np.array([0, 7, 13, 18])  # one coordinate from each block
+        x[on] = c[on]
+        got = frac_gradient_general(obj, x, FracParams(0.6, 0.4, c),
+                                    QuadratureSpec())
+        h = 1e-6
+        for i in on:
+            up, down = x.copy(), x.copy()
+            up[i] += h
+            down[i] -= h
+            classical = (obj.eval_uncounted(up) - obj.eval_uncounted(down)) / (2 * h)
+            assert got[i] == pytest.approx(classical, rel=1e-8, abs=1e-10)
 
     def test_near_terminal_coordinate_is_central_difference(self):
         # 0 < |x_1 - c_1| < N h: the 3-point differences of step h at x_1
@@ -372,27 +406,93 @@ class TestGeneralGradient:
                                     QuadratureSpec(node_count=16))
         assert np.isnan(got[1])
 
+    CASES = ((0.9, 0.1), (0.5, 0.3), (0.7, 0.0))
+
     def test_accuracy_on_a_small_network(self):
-        # worst norm-relative error of the N = 32 gradient against N = 2048
-        # over the three targets, two starts and three (alpha, rho).  Exact
-        # inner derivatives (three samples per node at step FD_STEP) give
-        # 4.80e-4 worst here, all of it the product-trapezoid rule's own
-        # error; the bound allows the fourth-order stencils 5% on top
+        # worst norm-relative error of the Gauss-Jacobi gradient against the
+        # trapezoid rule at N = 2048, over the three targets, two starts and
+        # three (alpha, rho): 1.04e-5, against 4.8e-4 for the trapezoid rule
+        # at N = 32
         spec = MlpSpec(hidden_units=6, train_points=20, trials=1)
+        z = np.random.default_rng(5).uniform(-1.0, 1.0, spec.train_points)
+        c = mlp_lower_terminal(spec)
         worst = 0.0
-        for target in ("h1", "h2", "h3"):
+        for target in BENCHMARK_IDS:
             obj = mlp_objective(spec, target, data_seed=5)
             for start in (0, 1):
                 x = mlp_init(spec, start)
-                for alpha, rho in ((0.9, 0.1), (0.5, 0.3), (0.7, 0.0)):
-                    params = FracParams(alpha, rho, mlp_lower_terminal(spec))
-                    coarse, fine = (
-                        frac_gradient_general(obj, x, params,
-                                              QuadratureSpec(node_count))
-                        for node_count in (32, 2048))
-                    worst = max(worst, np.linalg.norm(coarse - fine)
-                                / np.linalg.norm(fine))
-        assert worst <= 1.05 * 4.80e-4
+                refs = trapezoid_reference(z, benchmark_fn(target, z), x, c,
+                                           self.CASES)
+                for (alpha, rho), ref in zip(self.CASES, refs):
+                    got = frac_gradient_general(
+                        obj, x, FracParams(alpha, rho, c), QuadratureSpec())
+                    worst = max(worst, np.linalg.norm(got - ref)
+                                / np.linalg.norm(ref))
+        assert worst <= 1.05 * 1.04e-5
+        # the reference is the trapezoid rule on eval_uncounted
+        plain = frac_gradient_general(obj.eval_uncounted, x,
+                                      FracParams(alpha, rho, c),
+                                      QuadratureSpec(2048))
+        assert np.max(np.abs(plain - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_accuracy_at_sixty_hidden_units(self):
+        # the CLI's networks (H = 60, seed 42) on the three targets, trials
+        # 0 and 1, at three (alpha, rho): the worst norm-relative error of
+        # the Gauss-Jacobi gradient against the N = 2048 trapezoid rule is
+        # 1.88e-6, against 5.3e-5 for the N = 32 rule
+        config = ExperimentConfig()
+        worst = 0.0
+        for target in BENCHMARK_IDS:
+            for trial in (0, 1):
+                problem = _mlp_problem(config, 0.9, target, trial)
+                # the problem's dataset, from the same seeds
+                data_ss, _ = np.random.SeedSequence(
+                    (config.seed, BENCHMARK_IDS.index(target), trial)).spawn(2)
+                z = np.random.default_rng(data_ss).uniform(
+                    -1.0, 1.0, config.train_points)
+                x, c = problem.x0, problem.frac.c
+                refs = trapezoid_reference(z, benchmark_fn(target, z), x, c,
+                                           self.CASES)
+                for (alpha, rho), ref in zip(self.CASES, refs):
+                    got = frac_gradient_general(
+                        problem.objective, x, FracParams(alpha, rho, c),
+                        problem.quad)
+                    worst = max(worst, np.linalg.norm(got - ref)
+                                / np.linalg.norm(ref))
+        assert worst <= 5e-6
+
+
+def network_on_lines(z, tv, p, i, ts):
+    """The loss of the tanh network with parameters p, with p[i] set to
+    each entry of ts, on the data (z, tv): one forward pass per point, in
+    which only the hidden unit that p[i] belongs to is recomputed (along
+    b2, unit 0, unchanged)."""
+    H = (p.size - 1) // 3
+    w, b1, v, b2 = p[:H], p[H:2 * H], p[2 * H:3 * H], p[3 * H]
+    r = np.tanh(np.outer(z, w) + b1) @ v + b2 - tv
+    j = i % H
+    q = np.repeat(p[None, [j, H + j, 2 * H + j, 3 * H]], ts.size, axis=0)
+    q[:, i // H] = ts
+    res = (r - v[j] * np.tanh(z * w[j] + b1[j]) - b2
+           + q[:, 2:3] * np.tanh(np.outer(q[:, 0], z) + q[:, 1:2]) + q[:, 3:4])
+    return np.mean(res * res, axis=1)
+
+
+def trapezoid_reference(z, tv, x, c, cases, node_count=2048):
+    """frac_gradient_general's trapezoid rule for the network's loss at x,
+    one gradient per (alpha, rho) in cases, with every line's samples
+    taken by network_on_lines: the plain path's value (no coordinate of
+    x is near its terminal), without a Python call per sample."""
+    span = x - c
+    q = span / node_count
+    k = np.arange(-node_count - 2, 3)
+    y = np.array([network_on_lines(z, tv, x, i, x[i] + q[i] * k)
+                  for i in range(x.size)])
+    refs = []
+    for alpha, rho in cases:
+        a1, a2 = _line_weights(alpha, node_count)
+        refs.append(y @ a1 / q + rho * span * (y @ a2) / (q * q))
+    return refs
 
 
 class TestKinkedObjective:
@@ -537,3 +637,41 @@ def test_quadratic_classical_limit(seed, n, rho_share):
         got = frac_gradient_quadratic(A, b, x, params)
         err = np.linalg.norm(got - classical)
         assert err <= 1.001 * eps * shift + 1e-15 * np.linalg.norm(classical)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.05, 0.999), node_count=st.integers(1, 16))
+def test_jacobi_rule_moments(alpha, node_count):
+    # sum_k W_k s_k^m is the weight's m-th moment,
+    # (1-alpha) B(m+1, 1-alpha) = m! Gamma(2-alpha) / Gamma(m+2-alpha),
+    # for every m up to 2 node_count - 1
+    s, w = _jacobi_rule(alpha, node_count)
+    assert s.shape == w.shape == (node_count,)
+    assert np.all(w > 0.0) and abs(w.sum() - 1.0) <= 1e-13
+    assert 0.0 < s[0] and s[-1] < 1.0 and np.all(np.diff(s) > 0.0)
+    for m in range(2 * node_count):
+        exact = math.exp(math.lgamma(m + 1) + math.lgamma(2 - alpha)
+                         - math.lgamma(m + 2 - alpha))
+        assert float(w @ s**m) == pytest.approx(exact, rel=1e-12)
+
+
+def test_jacobi_rule_is_cached_and_read_only():
+    s, w = _jacobi_rule(0.9, JACOBI_NODES)
+    assert _jacobi_rule(0.9, JACOBI_NODES)[0] is s
+    for a in (s, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+
+
+def test_jacobi_rule_calls_no_linalg(monkeypatch):
+    # the first numpy.linalg eigensolver call loads LAPACK, about 1 MB of
+    # resident memory (860 kB with numpy 2.4.6), and the network gradient
+    # uses no other LAPACK routine; the rule gets its nodes by Sturm
+    # bisection instead
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    s, w = _jacobi_rule.__wrapped__(0.9, JACOBI_NODES)
+    assert s.size == w.size == JACOBI_NODES

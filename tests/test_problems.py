@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfcg.fraccalc import FracParams, frac_gradient_quadratic
-from cfcg.problems import (BENCHMARK_IDS, CALM_HID, LINE_CHUNK,
+from cfcg.problems import (BENCHMARK_IDS, LINE_CHUNK,
                            Example1Config, MlpSpec, benchmark_fn,
                            gen_example1, mlp_init, mlp_lower_terminal,
                            mlp_objective, mlp_param_bounds, stacked_problem,
@@ -222,30 +221,17 @@ class TestMlpObjective:
         assert obj.objective_evals == 9
 
     def test_line_evaluator_matches_pointwise(self):
+        # one coordinate from each parameter block, by a scalar index:
+        # f' and f'' against central differences of fn along the line
         obj = mlp_objective(self.SPEC, "h2", data_seed=5)
         rng = np.random.default_rng(6)
         p = mlp_init(self.SPEC, 7)
         H = self.SPEC.hidden_units
         ts = rng.uniform(-2.0, 2.0, 13)
-        # one coordinate from each parameter block, by a scalar index
-        calls = [(i, ts) for i in (0, H - 1, H, 2 * H - 1, 2 * H, 3 * H - 1, 3 * H)]
-        # and one call mixing all four blocks, each with more points than
-        # one internal chunk
-        width = LINE_CHUNK // self.SPEC.train_points
-        idx = rng.integers(0, p.size, 4 * p.size * width // 3)
-        assert np.all(np.bincount(np.minimum(idx // H, 3)) > width)
-        calls.append((idx, rng.uniform(-2.0, 2.0, idx.size)))
-        for i, pts in calls:
-            fast = obj.eval_line(p, i, pts)
-            slow = []
-            for j, t in zip(np.broadcast_to(i, pts.shape), pts):
-                q = p.copy()
-                q[j] = t
-                slow.append(obj.eval_uncounted(q))
-            assert np.allclose(fast, slow, rtol=1e-12, atol=1e-14)
-        # a point's value does not depend on what it is batched with
-        for i in np.unique(idx):
-            assert np.array_equal(obj.eval_line(p, i, pts[idx == i]), fast[idx == i])
+        for i in (0, H - 1, H, 2 * H - 1, 2 * H, 3 * H - 1, 3 * H):
+            out = obj.eval_line(p, i, ts)
+            assert out.shape == (2, ts.size)
+            assert_line_derivatives(obj, p, np.full(ts.size, i), ts, out)
 
     def test_fd_gradient_matches_backprop(self):
         obj = mlp_objective(self.SPEC, "h2", data_seed=8)
@@ -283,14 +269,40 @@ class TestMlpObjective:
             MlpSpec(hidden_units=0)
 
 
-def with_mid_nodes(rng, p, idx, ts):
-    """idx and ts with one more point per coordinate at t = p[i], the
-    quadrature's mid node (where a calm b1 row divides by zero), all
-    shuffled; also returns where the added points went."""
-    order = rng.permutation(idx.size + p.size)
-    idx = np.concatenate([idx, np.arange(p.size)])[order]
-    ts = np.concatenate([ts, p])[order]
-    return idx, ts, np.flatnonzero(order >= order.size - p.size)
+def line_differences(obj, p, i, t, h=1e-3):
+    """f' and f'' of obj along coordinate i at t, from the fourth-order
+    central differences of eval_uncounted with step h."""
+    def f(value):
+        q = p.copy()
+        q[i] = value
+        return obj.eval_uncounted(q)
+
+    lo2, lo1, mid, up1, up2 = (f(t + k * h) for k in (-2, -1, 0, 1, 2))
+    return ((lo2 - up2 + 8.0 * (up1 - lo1)) / (12.0 * h),
+            (16.0 * (lo1 + up1) - lo2 - up2 - 30.0 * mid) / (12.0 * h * h))
+
+
+def assert_line_derivatives(obj, p, idx, ts, out, rel=1e-7):
+    """eval_line's f' and f'' (out[0], out[1]) at the points (idx, ts), one
+    point per line, match central differences of fn to rel times
+    1 + |f| + |value|: the rounding of f, divided by the squared step,
+    puts about 1e-10 |f| into the differences' f''."""
+    for i, t, d1, d2 in zip(idx, ts, *out):
+        fd1, fd2 = line_differences(obj, p, i, t)
+        q = p.copy()
+        q[i] = t
+        scale = 1.0 + abs(obj.eval_uncounted(q))
+        assert abs(d1 - fd1) <= rel * (scale + abs(fd1)), (i, t, d1, fd1)
+        assert abs(d2 - fd2) <= rel * (scale + abs(fd2)), (i, t, d2, fd2)
+
+
+def block_lines(rng, H, low, high):
+    """Coordinates from each of the four parameter blocks, between low and
+    high - 1 of each input-side block (one b2 line or a few), shuffled."""
+    blocks = [np.arange(H), np.arange(H, 2 * H), np.arange(2 * H, 3 * H),
+              np.array([3 * H])]
+    return rng.permutation(np.concatenate([
+        rng.choice(b, rng.integers(low, high)) for b in blocks]))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -298,87 +310,46 @@ def with_mid_nodes(rng, p, idx, ts):
        train=st.integers(30, 240))
 def test_line_evaluator_property(seed, hidden, train):
     # every block gets more than one and under three input-side chunks'
-    # worth of points, interleaved in one call, at random abscissae
+    # worth of points, interleaved in one call, at random abscissae; a
+    # point's f' and f'' do not depend on what they are batched with, nor
+    # on where in the batch they sit
     spec = MlpSpec(hidden_units=hidden, train_points=train, trials=1)
     obj = mlp_objective(spec, BENCHMARK_IDS[seed % 3], data_seed=seed)
     rng = np.random.default_rng(seed)
     p = rng.uniform(-2.0, 2.0, spec.param_dim)
-    H, width = hidden, LINE_CHUNK // train
-    blocks = [np.arange(H), np.arange(H, 2 * H), np.arange(2 * H, 3 * H),
-              np.array([3 * H])]
-    idx = np.concatenate([
-        rng.choice(b, rng.integers(width + 1, 3 * width)) for b in blocks])
+    width = LINE_CHUNK // train
+    idx = block_lines(rng, hidden, width + 1, 3 * width)
     ts = rng.uniform(-3.0, 3.0, idx.size)
-    idx, ts, mid = with_mid_nodes(rng, p, idx, ts)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        fast = obj.eval_line(p, idx, ts)
-        # a point's value does not depend on what it is batched with, nor
-        # on where in the batch it sits
-        perm = rng.permutation(idx.size)[:idx.size // 2]
-        assert np.array_equal(obj.eval_line(p, idx[perm], ts[perm]), fast[perm])
-        for m in np.concatenate([perm[:5], mid]):
-            assert np.array_equal(obj.eval_line(p, idx[m], ts[m:m + 1]),
-                                  fast[m:m + 1])
-        assert np.array_equal(obj.eval_line(p, idx[mid], ts[mid]), fast[mid])
-    slow = []
-    for i, t in zip(idx, ts):
-        q = p.copy()
-        q[i] = t
-        slow.append(obj.eval_uncounted(q))
-    assert np.allclose(fast, slow, rtol=1e-12, atol=0.0)
-
-
-def half_calm_params(rng, spec, data_seed, scale):
-    """Parameters up to +-scale: half the hidden units keep |w|, |b1| <= 0.5
-    and stay calm, the others have |b1| >= 3 and saturate, so b1 lines of
-    both kinds occur."""
-    H = spec.hidden_units
-    small = rng.permutation(np.arange(H) % 2 == 0)
-    w = np.where(small, 0.5, scale) * rng.uniform(-1.0, 1.0, H)
-    b1 = np.where(small, rng.uniform(-0.5, 0.5, H),
-                  rng.choice([-1.0, 1.0], H) * rng.uniform(3.0, scale, H))
-    z = mlp_dataset(spec, data_seed)
-    calm = np.max(np.abs(np.tanh(np.outer(w, z) + b1[:, None])), axis=1) <= CALM_HID
-    assert np.array_equal(calm, small)
-    return np.concatenate([w, b1, rng.uniform(-scale, scale, H + 1)])
+    fast = obj.eval_line(p, idx, ts)
+    perm = rng.permutation(idx.size)[:idx.size // 2]
+    assert np.array_equal(obj.eval_line(p, idx[perm], ts[perm]), fast[:, perm])
+    for m in perm[:5]:
+        assert np.array_equal(obj.eval_line(p, idx[m], ts[m:m + 1]),
+                              fast[:, m:m + 1])
+    some = perm[:12]
+    assert_line_derivatives(obj, p, idx[some], ts[some], fast[:, some])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(2, 8),
-       train=st.integers(30, 240), scale=st.floats(3.0, 40.0))
-def test_line_evaluator_saturated_weights(seed, hidden, train, scale):
-    # one call takes b1 lines both by the addition formula and by tanh rows
+       train=st.integers(30, 240))
+def test_line_evaluator_saturated_weights(seed, hidden, train):
+    # input-side weights and biases of +-10, so most units saturate over
+    # the training points, and output weights up to 10: f' and f'' stay
+    # finite and match central differences in all four blocks
     spec = MlpSpec(hidden_units=hidden, train_points=train, trials=1)
     obj = mlp_objective(spec, BENCHMARK_IDS[seed % 3], data_seed=seed)
     rng = np.random.default_rng(seed)
-    H, width = hidden, LINE_CHUNK // train
-    p = half_calm_params(rng, spec, seed, scale)
-    blocks = [np.arange(H), np.arange(H, 2 * H), np.arange(2 * H, 3 * H),
-              np.array([3 * H])]
-    idx = np.concatenate([
-        rng.choice(b, rng.integers(1, 2 * width)) for b in blocks])
-    ts = rng.uniform(-scale, scale, idx.size)
-    idx, ts, mid = with_mid_nodes(rng, p, idx, ts)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        fast = obj.eval_line(p, idx, ts)
-        perm = rng.permutation(idx.size)[:idx.size // 2]
-        half = obj.eval_line(p, idx[perm], ts[perm])
-        mids = obj.eval_line(p, idx[mid], ts[mid])
-        picks = np.concatenate([perm[:5], mid])
-        single = [obj.eval_line(p, idx[m], ts[m:m + 1]) for m in picks]
-    slow = []
-    for i, t in zip(idx, ts):
-        q = p.copy()
-        q[i] = t
-        slow.append(obj.eval_uncounted(q))
-    assert np.all(np.isfinite(fast))
-    assert np.allclose(fast, slow, rtol=1e-12, atol=0.0)
-    assert np.array_equal(half, fast[perm])
-    assert np.array_equal(mids, fast[mid])
-    for m, value in zip(picks, single):
-        assert np.array_equal(value, fast[m:m + 1])
+    H = hidden
+    p = np.concatenate([rng.choice([-10.0, 10.0], 2 * H),
+                        rng.uniform(-10.0, 10.0, H + 1)])
+    hid = np.tanh(np.outer(p[:H], mlp_dataset(spec, seed)) + p[H:2 * H, None])
+    assert np.mean(np.abs(hid) > 0.999) > 0.5
+    idx = block_lines(rng, H, 1, 4)
+    ts = p[idx] + rng.uniform(-1.0, 1.0, idx.size)
+    out = obj.eval_line(p, idx, ts)
+    assert np.all(np.isfinite(out))
+    assert_line_derivatives(obj, p, idx, ts, out)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -386,26 +357,32 @@ def test_line_evaluator_saturated_weights(seed, hidden, train, scale):
        train=st.integers(30, 240), scale=st.floats(3.0, 40.0),
        K=st.integers(1, 60))
 def test_line_evaluator_takes_whole_lines(seed, hidden, train, scale, K):
-    # lines of all four kinds (w_j, b1_j of calm and of saturated units, the
-    # output side) in random order, some twice, K abscissae each with one
-    # at the line's mid node t = p[i]; long enough to span several chunks
+    # lines of all four blocks in random order, some twice, K abscissae
+    # each, long enough to span several chunks: the values are those of
+    # the lines taken one at a time, or of one line per point, bit for bit
     spec = MlpSpec(hidden_units=hidden, train_points=train, trials=1)
     target = BENCHMARK_IDS[seed % 3]
     obj = mlp_objective(spec, target, data_seed=seed)
     rng = np.random.default_rng(seed)
-    p = half_calm_params(rng, spec, seed, scale)
+    p = rng.uniform(-scale, scale, spec.param_dim)
     lines = rng.permutation(np.concatenate([
         np.arange(p.size), rng.integers(0, p.size, p.size // 2)]))
     ts = rng.uniform(-scale, scale, (lines.size, K))
-    ts[np.arange(lines.size), rng.integers(0, K, lines.size)] = p[lines]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        fast = obj.eval_line(p, lines, ts.ravel())
-        one_by_one = [obj.eval_line(p, i, row) for i, row in zip(lines, ts)]
-        per_point = obj.eval_line(p, np.repeat(lines, K), ts.ravel())
-    assert fast.shape == (ts.size,)
-    assert np.array_equal(fast, np.concatenate(one_by_one))
+    fast = obj.eval_line(p, lines, ts.ravel())
+    one_by_one = [obj.eval_line(p, i, row) for i, row in zip(lines, ts)]
+    per_point = obj.eval_line(p, np.repeat(lines, K), ts.ravel())
+    assert fast.shape == (2, ts.size)
+    assert np.array_equal(fast, np.concatenate(one_by_one, axis=1))
     assert np.array_equal(fast, per_point)
+    # a w line whose rows straddle the first chunk boundary
+    width = LINE_CHUNK // train
+    w_lines = np.arange(width // K + 1) % hidden
+    w_ts = rng.uniform(-scale, scale, (w_lines.size, K))
+    straddle = w_lines.size - 1
+    assert straddle * K < width < (straddle + 1) * K or width % K == 0
+    both = obj.eval_line(p, w_lines, w_ts.ravel()).reshape(2, -1, K)
+    assert np.array_equal(both[:, straddle],
+                          obj.eval_line(p, w_lines[straddle], w_ts[straddle]))
     with pytest.raises(ValueError):
         obj.eval_line(p, lines, ts.ravel()[1:])
     # fn is the plain formula, bit for bit
