@@ -71,7 +71,7 @@ class ExperimentConfig:
     max_iter: int = 2000
     f_decrease_tol: float = 1e-4
     # cells of the trapezoid rule, taken only for objectives without
-    # eval_line: no problem here uses it, but the benchmark sets the key
+    # eval_line: no problem here reads it now, but the benchmark sets it
     node_count: int = 32
     m: int = 100
     n: int = 100
@@ -127,7 +127,7 @@ _FIELD_KINDS = typing.get_type_hints(ExperimentConfig)
 
 def _parse_value(text, kind):
     """A config value of the field type ``kind``: bool, int, float, str or
-    a tuple[elem, ...] written comma-separated."""
+    a tuple[elem, ...] written comma-separated, with no empty entry."""
     text = text.strip()
     if kind is bool:
         if text.lower() in ("true", "1", "yes"):
@@ -138,10 +138,10 @@ def _parse_value(text, kind):
     if kind in (int, float):
         return kind(text)
     if typing.get_origin(kind) is tuple:
-        if not text:
-            return ()
-        elem = typing.get_args(kind)[0]
-        return tuple(elem(p.strip()) for p in text.split(","))
+        parts = [p.strip() for p in text.split(",")] if text else []
+        if "" in parts:
+            raise ValueError(f"empty entry in {text!r}")
+        return tuple(map(typing.get_args(kind)[0], parts))
     return text
 
 
@@ -288,8 +288,8 @@ def _row_from_report(report, config, experiment, solver, beta, gamma,
 
 # what one solver call needs besides the solver and its beta kind; sd_rule
 # is the problem's CFSD step rule
-_Problem = namedtuple("_Problem", "objective x0 frac stop sd_rule quad reference",
-                      defaults=(None, None))
+_Problem = namedtuple("_Problem", "objective x0 frac stop sd_rule reference",
+                      defaults=(None,))
 
 
 def _run_cell(config, problem, solver, beta, out_dir=None, trace_name=None):
@@ -305,11 +305,11 @@ def _run_cell(config, problem, solver, beta, out_dir=None, trace_name=None):
     t0 = time.perf_counter()
     if solver == "CFCG":
         report = cfcg_minimize(p.objective, p.x0, p.frac, beta, stop=p.stop,
-                               quad=p.quad, reference=p.reference)
+                               reference=p.reference)
         step_param = float("nan")
     else:
         report = cfsd_minimize(p.objective, p.x0, p.frac, p.sd_rule,
-                               stop=p.stop, quad=p.quad, reference=p.reference)
+                               stop=p.stop, reference=p.reference)
         step_param = max(p.sd_rule.etas)
     wall = (time.perf_counter() - t0) * 1e3
     if out_dir is not None and config.write_traces:
@@ -385,8 +385,7 @@ def _mlp_problem(config, alpha, target, trial):
         mlp_objective(spec, target, data_ss), mlp_init(spec, init_ss),
         FracParams(alpha, config.rho, mlp_lower_terminal(spec)),
         StopCriteria(config.grad_tol, config.max_iter,
-                     f_decrease_tol=config.f_decrease_tol),
-        MLP_SD_RULE, quad=QuadratureSpec(config.node_count))
+                     f_decrease_tol=config.f_decrease_tol), MLP_SD_RULE)
 
 
 def _mean_row(reports, walls, config, solver, beta, alpha, target, step_param):

@@ -134,11 +134,11 @@ class Objective:
     counters reflect only the solver-level evaluations.  Two optional
     hooks replace probes of f.  ``frac_gradient`` is an analytic
     fractional gradient, used by quadratic problems in place of
-    quadrature.  ``eval_line(x, idx, ts)`` gives f' and f'' along
-    coordinate lines, one ``idx`` entry per line and the lines' abscissae
-    back to back in ``ts``, as a (2, ts.size) array; with it the
-    quadrature takes a Gauss-Jacobi rule (see
-    fraccalc.frac_gradient_general).  Neither touches the counters.
+    quadrature.  ``eval_line(x, ts)`` gives f' and f'' along every
+    coordinate line of x, line i's K abscissae at ts[i K:(i + 1) K], as a
+    (2, ts.size) array; with it the quadrature takes a Gauss-Jacobi rule
+    (see fraccalc.frac_gradient_general).  Neither touches the counters,
+    and with either the solvers need no QuadratureSpec.
 
     The solvers pass every point they evaluate as a read-only array that
     owns its data, so ``fn`` and ``frac_gradient`` may share work done at
@@ -292,22 +292,6 @@ def armijo_wolfe_search(f, grad, x, d, g, params, f_x=None):
     )
 
 
-def _gradient_evaluator(f, frac, quad):
-    hook = f.frac_gradient
-    if hook is None and quad is None:
-        raise ValueError(
-            "objective has no analytic fractional-gradient hook; "
-            "a QuadratureSpec is required"
-        )
-
-    def grad(x):
-        f.gradient_evals += 1
-        if hook is not None:
-            return np.asarray(hook(x), dtype=float)
-        return frac_gradient_general(f, x, frac, quad)
-    return grad
-
-
 def _distance(x, reference):
     if reference is None:
         return None
@@ -329,8 +313,14 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     "non-finite".
     """
     stop = stop or StopCriteria()
-    grad = _gradient_evaluator(f, frac, quad)
+    hook = f.frac_gradient
     etas = rule.etas if kind is None else None
+
+    def grad(x):
+        f.gradient_evals += 1
+        if hook is not None:
+            return np.asarray(hook(x), dtype=float)
+        return frac_gradient_general(f, x, frac, quad)
 
     x = np.array(x0, dtype=float)
     x.setflags(write=False)
@@ -443,7 +433,8 @@ def cfcg_minimize(f, x0, frac, kind, ls=None, stop=None, quad=None,
     frac       : FracParams
     kind       : BetaKind (or its string value)
     ls, stop   : LineSearchParams / StopCriteria, defaulted when omitted
-    quad       : QuadratureSpec for the general-gradient path
+    quad       : QuadratureSpec of the trapezoid rule, needed only by an
+                 objective with neither hook (else ValueError)
     reference  : optional point whose distance is logged per iteration
     keep_vectors : retain per-iteration x, g, d (for invariant replay)
     """
@@ -461,6 +452,7 @@ def cfsd_minimize(f, x0, frac, step_rule, stop=None, quad=None,
     evaluations exceed iterations by exactly one.  DIVERGENCE_STREAK
     consecutive increases stop the run (MaxIter, "divergence").
     keep_vectors retains x only, so recheck_armijo_wolfe refuses it.
+    quad is needed only by an objective with neither hook.
     """
     return _minimize(f, x0, frac, None, step_rule, stop, quad, reference,
                      keep_vectors)

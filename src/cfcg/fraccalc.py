@@ -219,13 +219,14 @@ def frac_gradient_general(f, x, params, spec):
     t_k = c_i + s_k (x_i - c_i), for every line in one call; spec is not
     read.  At x_i = c_i every node is x_i and the value is f'(x_i).
 
-    Any other objective takes the product-trapezoid rule of spec.node_count
-    cells, whose weights also sum to one, probing ``eval_uncounted`` (or
-    the plain callable) once per node, at the N+1 rule nodes and two ghost
-    nodes beyond each end (up to 2 |x_i - c_i| / N outside [c_i, x_i]);
-    f' and f'' come from fourth-order central stencils there, exact on
-    quadratics and folded into the weights, so each of the two sums is one
-    dot product of the coordinate's samples with a fixed vector.  Where
+    Any other objective needs a spec (else ValueError) and takes the
+    product-trapezoid rule of spec.node_count cells, whose weights also sum
+    to one, probing ``eval_uncounted`` (or the plain callable) once per
+    node, at the N+1 rule nodes and two ghost nodes beyond each end (up
+    to 2 |x_i - c_i| / N outside [c_i, x_i]); f' and f'' come from
+    fourth-order central stencils there, exact on quadratics and folded
+    into the weights, so each of the two sums is one dot product of the
+    coordinate's samples with a fixed vector.  Where
     |x_i - c_i| / N < h = FD_STEP * max(1, |x_i|), coordinate i is
     d1 + rho (x_i - c_i) d2 from central differences of step h at x_i,
     which is continuous at x_i = c_i.
@@ -242,9 +243,12 @@ def frac_gradient_general(f, x, params, spec):
     if line is not None:
         s, w = _jacobi_rule(params.alpha, JACOBI_NODES)
         ts = c[:, None] + span[:, None] * s
-        d1, d2 = np.reshape(line(x, np.arange(x.size), ts.ravel()),
-                            (2,) + ts.shape)
+        # ts by keyword: perfbench's tracer counts the nodes it is given
+        d1, d2 = np.reshape(line(x, ts=ts.ravel()), (2,) + ts.shape)
         return np.vecdot(d1, w) + params.rho * span * np.vecdot(d2, w)
+    if spec is None:
+        raise ValueError("objective has no eval_line hook; its trapezoid "
+                         "rule needs a QuadratureSpec")
     q = span / spec.node_count
     h = FD_STEP * np.maximum(1.0, np.abs(x))
     k = np.arange(-spec.node_count - 2, 3)  # offsets from x_i in steps of q

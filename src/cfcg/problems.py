@@ -189,8 +189,9 @@ def mlp_objective(spec, target, data_seed):
 
     The dataset (train_points inputs uniform on (-1, 1)) is drawn
     from data_seed only.  Besides plain evaluation the objective carries a
-    vectorized ``eval_line`` that gives f' and f'' along coordinate lines in
-    closed form, which the quadrature path takes in place of f samples.
+    vectorized ``eval_line`` that gives f' and f'' along all coordinate
+    lines at once in closed form, which the quadrature path takes in place
+    of f samples.
     """
     rng = np.random.default_rng(data_seed)
     z = rng.uniform(-1.0, 1.0, spec.train_points)
@@ -206,27 +207,23 @@ def mlp_objective(spec, target, data_seed):
         res -= tv
         return float(np.add.reduce(np.square(res, out=res)) / z.size)
 
-    def eval_line(p, idx, ts):
-        # f' and f'' (rows 0 and 1) at p with p[idx[l]] set to each abscissa
-        # of line l, the lines' K abscissae back to back in ts, from one
-        # hidden-layer pass (hid[j] is unit j over the training points) and
-        # the residual r at p
-        idx = np.ravel(idx)  # reshape raises ValueError for a fractional K
-        ts = np.reshape(np.asarray(ts, dtype=float), (idx.size, -1))
-        K = ts.shape[1]
+    def eval_line(p, ts):
+        # f' and f'' (rows 0 and 1) along every coordinate line of p, line
+        # i's K abscissae at ts[i K:(i + 1) K], from one hidden-layer pass
+        # (hid[j] is unit j over the training points) and the residual r
+        # at p
+        ts = np.reshape(np.asarray(ts, dtype=float), (p.size, -1))
+        K = ts.shape[1]  # reshape raised ValueError for a fractional K
         w, b1, v, b2 = p[:H], p[H:2 * H], p[2 * H:3 * H], p[3 * H]
         hid = np.tanh(np.outer(w, z) + b1[:, None])
         r = v @ hid + b2 - tv
         out = np.empty((2,) + ts.shape)
         # along v_j, or b2 as a unit fixed at one, f is the quadratic
         # mean(r**2) + d (2 s1 + d s2) in d = t - p[i]
-        sel = np.flatnonzero(idx >= 2 * H)
-        j = idx[sel] - 2 * H
-        s1 = np.append((hid * r).sum(axis=1), r.sum()) / z.size
-        s2 = np.append((hid * hid).sum(axis=1) / z.size, 1.0)
-        out[0, sel] = 2.0 * (s1[j, None]
-                             + (ts[sel] - p[idx[sel], None]) * s2[j, None])
-        out[1, sel] = 2.0 * s2[j, None]
+        s1 = np.append((hid * r).sum(axis=1), r.sum())[:, None] / z.size
+        s2 = np.append((hid * hid).sum(axis=1) / z.size, 1.0)[:, None]
+        out[0, 2 * H:] = 2.0 * (s1 + (ts[2 * H:] - p[2 * H:, None]) * s2)
+        out[1, 2 * H:] = 2.0 * s2
         # along w_j or b1_j one C-ordered (points x train_points) row per
         # point, chunk by chunk, each reduced on its own.  The new residual
         # is u_j + v_j tanh(a) with u = r - v hid and a = z w_j + b1_j at the
@@ -235,12 +232,12 @@ def mlp_objective(spec, target, data_seed):
         # (without that last z along b1_j)
         u = r - v[:, None] * hid
         width = max(1, LINE_CHUNK // z.size)
+        j = np.repeat(np.arange(H), K)
+        vj = v[j, None]
         for block in range(2):
-            sel = np.flatnonzero(idx // H == block)
-            j, t = np.repeat(idx[sel] - block * H, K), ts[sel].reshape(-1, 1)
+            t = ts[block * H:(block + 1) * H].reshape(-1, 1)
             c1, c2 = (t, b1[j, None]) if block == 0 else (w[j, None], t)
-            vj = v[j, None]
-            d = np.empty((2, j.size))
+            d = out[:, block * H:(block + 1) * H].reshape(2, -1)  # a view
             for m in range(0, j.size, width):
                 jm, rows = j[m:m + width], slice(m, m + width)
                 th = z * c1[rows]
@@ -258,7 +255,7 @@ def mlp_objective(spec, target, data_seed):
                 if block == 0:
                     res *= z
                 d[1, rows] = np.vecdot(q, q) - 2.0 * np.vecdot(q, res)
-            out[:, sel] = d.reshape(2, sel.size, K) * (2.0 / z.size)
+            d *= 2.0 / z.size
         return out.reshape(2, -1)
 
     return Objective(fn, eval_line=eval_line)

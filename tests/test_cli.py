@@ -693,6 +693,36 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["example1", "--beta", "FR,"],
+                     "--beta: empty entry in 'FR,'", id="beta-trailing-comma"),
+        pytest.param(["example1", "--gamma", "0.5,"],
+                     "--gamma: empty entry in '0.5,'", id="gamma-trailing-comma"),
+        pytest.param(["single", "--solver", " , CFCG"],
+                     "--solver: empty entry in ', CFCG'", id="solver-flag-blank"),
+        pytest.param(["example1", "--config", "solvers = ,CFCG\n"],
+                     "bad.cfg:1: field 'solvers': empty entry in ',CFCG'",
+                     id="solvers-leading-comma"),
+        pytest.param(["example2", "--config", "targets = h1,,h2\n"],
+                     "bad.cfg:1: field 'targets': empty entry in 'h1,,h2'",
+                     id="targets-double-comma"),
+        pytest.param(["example2", "--config", "alpha_grid = 0.5, ,0.7\n"],
+                     "bad.cfg:1: field 'alpha_grid': empty entry in '0.5, ,0.7'",
+                     id="alpha-grid-blank-entry"),
+    ])
+    def test_empty_list_entry(self, argv, message, tmp_path, capsys):
+        # an empty entry names nothing: one message for every tuple field,
+        # from a flag or a file alike
+        if "--config" in argv:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(argv[-1])
+            argv = argv[:-1] + [str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert err.rstrip("\n").endswith(message)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv", [
         # argparse took these for --max-iter 2 and --tol 5; m is a file key
         pytest.param(["example1", "--m", "2"], id="m-abbreviation"),

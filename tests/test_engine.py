@@ -347,6 +347,24 @@ class TestCfcg:
         with pytest.raises(ValueError):
             cfcg_minimize(obj, np.ones(2), FracParams(0.9, 0.1, np.zeros(2)), "FR")
 
+    @pytest.mark.parametrize("solver", ["CFCG", "CFSD"])
+    def test_line_hook_needs_no_quad_spec(self, solver):
+        # the Gauss-Jacobi path reads no spec: a run without one is the run
+        # with one, step for step
+        spec = MlpSpec(hidden_units=4, train_points=10, trials=1)
+        frac = FracParams(0.9, 0.1, mlp_lower_terminal(spec))
+        run = cfcg_minimize if solver == "CFCG" else cfsd_minimize
+        args = ("FR",) if solver == "CFCG" else (GridStep((0.01, 0.001)),)
+        reports = [run(mlp_objective(spec, "h1", data_seed=0),
+                       mlp_init(spec, 0), frac, *args,
+                       stop=StopCriteria(1e-12, 5), quad=quad)
+                   for quad in (None, QuadratureSpec())]
+        bare, with_spec = reports
+        assert bare.gradient_evals > 1
+        assert np.array_equal(bare.final_x, with_spec.final_x)
+        assert ([r.f_value for r in bare.trace]
+                == [r.f_value for r in with_spec.trace])
+
 
 class TestCfsd:
     def test_fixed_eval_count(self):
@@ -523,17 +541,16 @@ class TestObjectiveCounters:
 @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 3),
        alpha=st.floats(0.5, 0.95), rho=st.floats(0.0, 0.3))
 def test_accepted_steps_recheck_on_networks(kind, seed, hidden, alpha, rho):
-    # small networks take the quadrature path; most of these runs end in
+    # small networks take the Gauss-Jacobi path; most of these runs end in
     # LineSearchFailure within six iterations, after a few accepted steps
     spec = MlpSpec(hidden_units=hidden, train_points=20, trials=1)
     obj = mlp_objective(spec, BENCHMARK_IDS[seed % 3], data_seed=seed)
     frac = FracParams(alpha, rho, mlp_lower_terminal(spec))
-    quad, ls = QuadratureSpec(node_count=16), LineSearchParams()
+    ls = LineSearchParams()
     rep = cfcg_minimize(obj, mlp_init(spec, seed), frac, kind, ls=ls,
-                        stop=StopCriteria(1e-12, 6), quad=quad,
-                        keep_vectors=True)
+                        stop=StopCriteria(1e-12, 6), keep_vectors=True)
     slack = recheck_armijo_wolfe(
-        rep, obj, lambda x: frac_gradient_general(obj, x, frac, quad), ls)
+        rep, obj, lambda x: frac_gradient_general(obj, x, frac, None), ls)
     assert slack >= 0.0
 
 

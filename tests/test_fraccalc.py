@@ -328,14 +328,14 @@ class TestGeneralGradient:
                                 / (12.0 * h * h))
             for rho in (0.0, 0.1, 0.3):
                 got = frac_gradient_general(obj, x, FracParams(0.9, rho, c),
-                                            QuadratureSpec())
+                                            None)
                 want = d1 @ w + rho * span * (d2 @ w)
                 assert np.max(np.abs(got - want)) <= 1e-8
 
     def test_samples_each_node_once(self):
-        # one line evaluation per gradient: every coordinate's line, with
-        # its JACOBI_NODES nodes c_i + s_k (x_i - c_i) back to back, also
-        # for a coordinate near or on its terminal
+        # one line evaluation per gradient, ts given by keyword: every
+        # coordinate's JACOBI_NODES nodes c_i + s_k (x_i - c_i) back to
+        # back, also for a coordinate near or on its terminal
         spec = MlpSpec(hidden_units=20, train_points=10, trials=1)
         obj = mlp_objective(spec, "h1", data_seed=2)
         c = mlp_lower_terminal(spec)
@@ -344,20 +344,25 @@ class TestGeneralGradient:
 
         class Counting:
             @staticmethod
-            def eval_line(x, idx, ts):
-                calls.append((idx, ts))
-                return obj.eval_line(x, idx, ts)
+            def eval_line(x, *, ts):
+                calls.append(ts)
+                return obj.eval_line(x, ts)
 
         s, _ = _jacobi_rule(0.8, JACOBI_NODES)
         x = mlp_init(spec, 1)
         for near in (None, 1e-6, 0.0):
             if near is not None:
                 x[3] = c[3] + near
-            frac_gradient_general(Counting, x, params, QuadratureSpec())
-            (idx, ts), = calls
-            assert np.array_equal(idx, np.arange(x.size))
+            frac_gradient_general(Counting, x, params, None)
+            ts, = calls
             assert np.array_equal(ts, (c[:, None] + (x - c)[:, None] * s).ravel())
             calls.clear()
+
+    def test_trapezoid_rule_needs_a_spec(self):
+        # only the trapezoid branch reads the spec
+        params = FracParams(0.8, 0.2, np.zeros(3))
+        with pytest.raises(ValueError, match="QuadratureSpec"):
+            frac_gradient_general(self.mixed_cubic, np.ones(3), params, None)
 
     def test_coordinate_on_its_terminal_is_the_classical_derivative(self):
         # every node is x_i, and the weights sum to one up to rounding
@@ -367,8 +372,7 @@ class TestGeneralGradient:
         x = mlp_init(spec, 2)
         on = np.array([0, 7, 13, 18])  # one coordinate from each block
         x[on] = c[on]
-        got = frac_gradient_general(obj, x, FracParams(0.6, 0.4, c),
-                                    QuadratureSpec())
+        got = frac_gradient_general(obj, x, FracParams(0.6, 0.4, c), None)
         h = 1e-6
         for i in on:
             up, down = x.copy(), x.copy()
@@ -425,7 +429,7 @@ class TestGeneralGradient:
                                            self.CASES)
                 for (alpha, rho), ref in zip(self.CASES, refs):
                     got = frac_gradient_general(
-                        obj, x, FracParams(alpha, rho, c), QuadratureSpec())
+                        obj, x, FracParams(alpha, rho, c), None)
                     worst = max(worst, np.linalg.norm(got - ref)
                                 / np.linalg.norm(ref))
         assert worst <= 1.05 * 1.04e-5
@@ -455,8 +459,7 @@ class TestGeneralGradient:
                                            self.CASES)
                 for (alpha, rho), ref in zip(self.CASES, refs):
                     got = frac_gradient_general(
-                        problem.objective, x, FracParams(alpha, rho, c),
-                        problem.quad)
+                        problem.objective, x, FracParams(alpha, rho, c), None)
                     worst = max(worst, np.linalg.norm(got - ref)
                                 / np.linalg.norm(ref))
         assert worst <= 5e-6

@@ -221,17 +221,16 @@ class TestMlpObjective:
         assert obj.objective_evals == 9
 
     def test_line_evaluator_matches_pointwise(self):
-        # one coordinate from each parameter block, by a scalar index:
-        # f' and f'' against central differences of fn along the line
+        # every line of all four blocks at once, 13 abscissae each: f' and
+        # f'' against central differences of fn along the line
         obj = mlp_objective(self.SPEC, "h2", data_seed=5)
         rng = np.random.default_rng(6)
         p = mlp_init(self.SPEC, 7)
-        H = self.SPEC.hidden_units
-        ts = rng.uniform(-2.0, 2.0, 13)
-        for i in (0, H - 1, H, 2 * H - 1, 2 * H, 3 * H - 1, 3 * H):
-            out = obj.eval_line(p, i, ts)
-            assert out.shape == (2, ts.size)
-            assert_line_derivatives(obj, p, np.full(ts.size, i), ts, out)
+        ts = rng.uniform(-2.0, 2.0, (p.size, 13))
+        out = obj.eval_line(p, ts.ravel())
+        assert out.shape == (2, ts.size)
+        assert_line_derivatives(obj, p, np.repeat(np.arange(p.size), 13),
+                                ts.ravel(), out)
 
     def test_fd_gradient_matches_backprop(self):
         obj = mlp_objective(self.SPEC, "h2", data_seed=8)
@@ -283,10 +282,10 @@ def line_differences(obj, p, i, t, h=1e-3):
 
 
 def assert_line_derivatives(obj, p, idx, ts, out, rel=1e-7):
-    """eval_line's f' and f'' (out[0], out[1]) at the points (idx, ts), one
-    point per line, match central differences of fn to rel times
-    1 + |f| + |value|: the rounding of f, divided by the squared step,
-    puts about 1e-10 |f| into the differences' f''."""
+    """eval_line's f' and f'' (out[0], out[1]) at the points (idx, ts),
+    point m on line idx[m] at abscissa ts[m], match central differences of
+    fn to rel times 1 + |f| + |value|: the rounding of f, divided by the
+    squared step, puts about 1e-10 |f| into the differences' f''."""
     for i, t, d1, d2 in zip(idx, ts, *out):
         fd1, fd2 = line_differences(obj, p, i, t)
         q = p.copy()
@@ -296,38 +295,41 @@ def assert_line_derivatives(obj, p, idx, ts, out, rel=1e-7):
         assert abs(d2 - fd2) <= rel * (scale + abs(fd2)), (i, t, d2, fd2)
 
 
-def block_lines(rng, H, low, high):
-    """Coordinates from each of the four parameter blocks, between low and
-    high - 1 of each input-side block (one b2 line or a few), shuffled."""
-    blocks = [np.arange(H), np.arange(H, 2 * H), np.arange(2 * H, 3 * H),
-              np.array([3 * H])]
-    return rng.permutation(np.concatenate([
-        rng.choice(b, rng.integers(low, high)) for b in blocks]))
+def assert_lines_stand_alone(obj, p, ts, out, lines, rng, scale):
+    """Each of the given lines of p gives the f' and f'' of out, bit for
+    bit, when every other line's abscissae (ts[i] for line i) change."""
+    K = ts.shape[1]
+    for i in lines:
+        moved = rng.uniform(-scale, scale, ts.shape)
+        moved[i] = ts[i]
+        got = obj.eval_line(p, moved.ravel())
+        assert np.array_equal(got[:, i * K:(i + 1) * K],
+                              out[:, i * K:(i + 1) * K]), i
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 8),
        train=st.integers(30, 240))
 def test_line_evaluator_property(seed, hidden, train):
-    # every block gets more than one and under three input-side chunks'
-    # worth of points, interleaved in one call, at random abscissae; a
-    # point's f' and f'' do not depend on what they are batched with, nor
-    # on where in the batch they sit
+    # each input-side block gets more than one and under three chunks'
+    # worth of points, at random abscissae; a line's f' and f'' do not
+    # depend on the other lines' abscissae, also where the line's rows
+    # straddle the first chunk boundary
     spec = MlpSpec(hidden_units=hidden, train_points=train, trials=1)
     obj = mlp_objective(spec, BENCHMARK_IDS[seed % 3], data_seed=seed)
     rng = np.random.default_rng(seed)
     p = rng.uniform(-2.0, 2.0, spec.param_dim)
     width = LINE_CHUNK // train
-    idx = block_lines(rng, hidden, width + 1, 3 * width)
-    ts = rng.uniform(-3.0, 3.0, idx.size)
-    fast = obj.eval_line(p, idx, ts)
-    perm = rng.permutation(idx.size)[:idx.size // 2]
-    assert np.array_equal(obj.eval_line(p, idx[perm], ts[perm]), fast[:, perm])
-    for m in perm[:5]:
-        assert np.array_equal(obj.eval_line(p, idx[m], ts[m:m + 1]),
-                              fast[:, m:m + 1])
-    some = perm[:12]
-    assert_line_derivatives(obj, p, idx[some], ts[some], fast[:, some])
+    K = int(rng.integers(width // hidden + 1, 3 * width // hidden))
+    assert width < hidden * K < 3 * width
+    ts = rng.uniform(-3.0, 3.0, (p.size, K))
+    out = obj.eval_line(p, ts.ravel())
+    # the w and b1 lines holding the first chunk boundary, and three more
+    lines = {width // K, hidden + width // K} if width % K else set()
+    lines.update(rng.choice(p.size, 3).tolist())
+    assert_lines_stand_alone(obj, p, ts, out, sorted(lines), rng, 3.0)
+    some = rng.choice(ts.size, 12)
+    assert_line_derivatives(obj, p, some // K, ts.ravel()[some], out[:, some])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -336,7 +338,8 @@ def test_line_evaluator_property(seed, hidden, train):
 def test_line_evaluator_saturated_weights(seed, hidden, train):
     # input-side weights and biases of +-10, so most units saturate over
     # the training points, and output weights up to 10: f' and f'' stay
-    # finite and match central differences in all four blocks
+    # finite and match central differences along every line, two
+    # abscissae each within 1 of the line's value
     spec = MlpSpec(hidden_units=hidden, train_points=train, trials=1)
     obj = mlp_objective(spec, BENCHMARK_IDS[seed % 3], data_seed=seed)
     rng = np.random.default_rng(seed)
@@ -345,11 +348,11 @@ def test_line_evaluator_saturated_weights(seed, hidden, train):
                         rng.uniform(-10.0, 10.0, H + 1)])
     hid = np.tanh(np.outer(p[:H], mlp_dataset(spec, seed)) + p[H:2 * H, None])
     assert np.mean(np.abs(hid) > 0.999) > 0.5
-    idx = block_lines(rng, H, 1, 4)
-    ts = p[idx] + rng.uniform(-1.0, 1.0, idx.size)
-    out = obj.eval_line(p, idx, ts)
+    ts = p[:, None] + rng.uniform(-1.0, 1.0, (p.size, 2))
+    out = obj.eval_line(p, ts.ravel())
     assert np.all(np.isfinite(out))
-    assert_line_derivatives(obj, p, idx, ts, out)
+    assert_line_derivatives(obj, p, np.repeat(np.arange(p.size), 2),
+                            ts.ravel(), out)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -357,34 +360,29 @@ def test_line_evaluator_saturated_weights(seed, hidden, train):
        train=st.integers(30, 240), scale=st.floats(3.0, 40.0),
        K=st.integers(1, 60))
 def test_line_evaluator_takes_whole_lines(seed, hidden, train, scale, K):
-    # lines of all four blocks in random order, some twice, K abscissae
-    # each, long enough to span several chunks: the values are those of
-    # the lines taken one at a time, or of one line per point, bit for bit
+    # every line of p with K abscissae each, back to back: a (2, ts.size)
+    # array whose lines stand alone bit for bit, also a w line whose rows
+    # straddle the first chunk boundary; a ts whose size is not a
+    # multiple of p.size is an error
     spec = MlpSpec(hidden_units=hidden, train_points=train, trials=1)
     target = BENCHMARK_IDS[seed % 3]
     obj = mlp_objective(spec, target, data_seed=seed)
     rng = np.random.default_rng(seed)
     p = rng.uniform(-scale, scale, spec.param_dim)
-    lines = rng.permutation(np.concatenate([
-        np.arange(p.size), rng.integers(0, p.size, p.size // 2)]))
-    ts = rng.uniform(-scale, scale, (lines.size, K))
-    fast = obj.eval_line(p, lines, ts.ravel())
-    one_by_one = [obj.eval_line(p, i, row) for i, row in zip(lines, ts)]
-    per_point = obj.eval_line(p, np.repeat(lines, K), ts.ravel())
-    assert fast.shape == (2, ts.size)
-    assert np.array_equal(fast, np.concatenate(one_by_one, axis=1))
-    assert np.array_equal(fast, per_point)
-    # a w line whose rows straddle the first chunk boundary
+    ts = rng.uniform(-scale, scale, (p.size, K))
+    out = obj.eval_line(p, ts.ravel())
+    assert out.shape == (2, ts.size)
+    assert_lines_stand_alone(obj, p, ts, out, rng.choice(p.size, 4), rng,
+                             scale)
+    # with K2 abscissae per line, w line 1 holds the first chunk boundary
     width = LINE_CHUNK // train
-    w_lines = np.arange(width // K + 1) % hidden
-    w_ts = rng.uniform(-scale, scale, (w_lines.size, K))
-    straddle = w_lines.size - 1
-    assert straddle * K < width < (straddle + 1) * K or width % K == 0
-    both = obj.eval_line(p, w_lines, w_ts.ravel()).reshape(2, -1, K)
-    assert np.array_equal(both[:, straddle],
-                          obj.eval_line(p, w_lines[straddle], w_ts[straddle]))
+    K2 = 3 * width // 4
+    assert K2 < width < 2 * K2
+    ts2 = rng.uniform(-scale, scale, (p.size, K2))
+    assert_lines_stand_alone(obj, p, ts2, obj.eval_line(p, ts2.ravel()), [1],
+                             rng, scale)
     with pytest.raises(ValueError):
-        obj.eval_line(p, lines, ts.ravel()[1:])
+        obj.eval_line(p, ts.ravel()[1:])
     # fn is the plain formula, bit for bit
     H = hidden
     z = mlp_dataset(spec, seed)
