@@ -544,10 +544,13 @@ def main(argv=None):
                   else load_config(args.config))
         config = _apply_overrides(config, args)
         out_dir = Path(config.out)
-        # a file on the out path would fail only after every cell has run;
-        # not in _check_config, as Python callers pass their own out_dir
-        if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
-            raise ConfigError(f"out: {out_dir} is not a directory")
+        # a file on the out path or a name the OS rejects would fail only after
+        # every cell has run; not in _check_config: Python callers pass out_dir
+        try:
+            if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
+                raise ConfigError(f"out: {out_dir} is not a directory")
+        except OSError as exc:  # ENAMETOOLONG, say
+            raise ConfigError(f"out: {exc}") from exc
         if args.command == "single":
             rows = [run_single(config, out_dir)[0]]
         elif args.command == "example1":

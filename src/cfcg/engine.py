@@ -46,10 +46,6 @@ DENOMINATOR_FLOOR = 1e-12
 STALENESS_RESTART = 0.95
 # restart when the direction norm runs away from the gradient scale
 DIRECTION_NORM_CAP = 1e6
-# restart after a step that moved the iterate less than this (relative)
-STALL_DISPLACEMENT = 1e-9
-# restart after a line search that needed this many backtracks
-STALL_TRIALS = 30
 # consecutive objective increases tolerated by step-grid descent
 DIVERGENCE_STREAK = 50
 
@@ -327,7 +323,6 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     f_x = f.eval(x)
     g = grad(x)
     g_prev = d_prev = None
-    force_restart = False
     increase_streak = 0
     trace = []
     # g, d and the steps are kept for recheck_armijo_wolfe, so only when a
@@ -369,31 +364,24 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
             g_new = grad(x_new)
             increase_streak = increase_streak + 1 if f_new > f_x else 0
         else:
-            restarted, beta = False, 0.0
-            if d_prev is None:
-                d = -g
-            elif force_restart or abs(float(g @ g_prev)) >= STALENESS_RESTART * gn * gn:
-                d, restarted = -g, True
-            else:
+            # -g (a restart after step 0) unless the coupled d passes each test
+            d, beta, restarted = -g, 0.0, d_prev is not None
+            if restarted and abs(float(g @ g_prev)) < STALENESS_RESTART * gn * gn:
                 try:
                     beta = beta_value(kind, g, g_prev, d_prev)
                     d, restarted = direction(g, beta, d_prev)
                 except DenominatorUnderflow:
-                    d, restarted = -g, True
+                    pass
                 if restarted:
                     beta = 0.0
             descent_inner = float(g @ d)
-            d_norm = math.sqrt(d.dot(d))
-            cos_theta = -descent_inner / (gn * d_norm)
+            cos_theta = -descent_inner / (gn * math.sqrt(d.dot(d)))
             try:
                 res = armijo_wolfe_search(f, grad, x, d, g, rule, f_x=f_x)
             except LineSearchError as exc:
                 status, reason = RunStatus.LINE_SEARCH_FAILURE, str(exc)
                 break
             eta, x_new, f_new, g_new = res.eta, res.x_new, res.f_new, res.g_new
-            force_restart = (eta * d_norm < STALL_DISPLACEMENT
-                             * (1.0 + math.sqrt(x.dot(x)))
-                             or res.trials >= STALL_TRIALS)
             g_prev, d_prev = g, d
 
         trace.append(IterRecord(k, f_x, gn, eta, beta, descent_inner,

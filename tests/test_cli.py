@@ -811,6 +811,16 @@ class TestMainEntry:
         assert err.startswith("config error: out: ") and err.count("\n") == 1
         assert (tmp_path / "file").read_text() == "keep\n"
 
+    def test_out_the_os_rejects(self, tmp_path, capsys):
+        # a name past NAME_MAX makes the directory check itself raise
+        # ENAMETOOLONG; that is a usage error (exit 2), not a failed run
+        argv = ["single", "--problem", "example1", "--max-iter", "2",
+                "--out", str(tmp_path / ("x" * 300))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_single_is_the_first_sweep_cell(self, tmp_path):
         cfg = tmp_path / "small.cfg"
         cfg.write_text("m = 20\nn = 20\n")

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfcg.engine import (BetaKind, DenominatorUnderflow, GridStep,
-                         LineSearchError, LineSearchParams, Objective,
-                         RunStatus, StopCriteria, armijo_wolfe_search,
-                         beta_value, cfcg_minimize, cfsd_minimize, direction,
-                         recheck_armijo_wolfe)
+from cfcg.cli import (ExperimentConfig, _example1_instance, _mlp_problem,
+                      _tikhonov_problem)
+from cfcg.engine import (DIRECTION_NORM_CAP, STALENESS_RESTART,
+                         SUFFICIENT_DESCENT, BetaKind, DenominatorUnderflow,
+                         GridStep, LineSearchError, LineSearchParams,
+                         Objective, RunStatus, StopCriteria,
+                         armijo_wolfe_search, beta_value, cfcg_minimize,
+                         cfsd_minimize, direction, recheck_armijo_wolfe)
 from cfcg.fraccalc import (FracParams, QuadratureSpec, frac_gradient_general,
                            frac_gradient_quadratic)
 from cfcg.problems import (BENCHMARK_IDS, MlpSpec, mlp_init,
@@ -364,6 +368,91 @@ class TestCfcg:
         assert np.array_equal(bare.final_x, with_spec.final_x)
         assert ([r.f_value for r in bare.trace]
                 == [r.f_value for r in with_spec.trace])
+
+
+def restart_cause(kind, g, g_prev, d_prev):
+    """The rule that makes CFCG restart at gradient g after the step along
+    d_prev from g_prev, tested in the solver's order, or None when the
+    coupled direction is taken."""
+    gn = math.sqrt(g.dot(g))
+    if abs(float(g @ g_prev)) >= STALENESS_RESTART * gn * gn:
+        return "staleness"
+    try:
+        beta = beta_value(kind, g, g_prev, d_prev)
+    except DenominatorUnderflow:
+        return "underflow"
+    d = -g + beta * d_prev
+    gn2 = float(g @ g)
+    if float(g @ d) > -SUFFICIENT_DESCENT * gn2:
+        return "descent"
+    if float(d @ d) > DIRECTION_NORM_CAP**2 * gn2:
+        return "norm cap"
+    return None
+
+
+def restart_tally(report, kind):
+    """The restarts of a kept-vector CFCG run, counted by rule; a row whose
+    restarted flag disagrees with restart_cause counts as "unexplained"."""
+    tally = collections.Counter()
+    for k in range(1, len(report.ds)):
+        cause = restart_cause(kind, report.gs[k], report.gs[k - 1],
+                              report.ds[k - 1])
+        if report.trace[k].restarted != (cause is not None):
+            tally["unexplained"] += 1
+        elif cause is not None:
+            tally[cause] += 1
+    return tally
+
+
+class TestRestartRules:
+    """Every CFCG restart replays, from the kept g and d, as one of the
+    solver's rules: staleness (consecutive gradients nearly collinear), a
+    beta DenominatorUnderflow, or direction()'s fallback on a non-descent
+    or runaway coupled direction.  A row restarted by any other rule shows
+    as unexplained."""
+
+    def test_default_sweep(self):
+        # the example1 default instance: 6 gammas x 5 kinds, 1426 steps
+        config = ExperimentConfig()
+        prob, x0, frac = _example1_instance(config)
+        tally = collections.Counter()
+        for gamma in config.gamma_grid:
+            problem = _tikhonov_problem(config, prob, x0, frac, gamma)
+            for kind in BetaKind:
+                tally += restart_tally(cfcg_minimize(
+                    problem.objective, x0, frac, kind, stop=problem.stop,
+                    keep_vectors=True), kind)
+        assert tally == {"staleness": 743, "descent": 19}
+
+    def test_networks(self):
+        # trial 0 of each default network target, 5 kinds each
+        config = ExperimentConfig()
+        tally = collections.Counter()
+        for target in BENCHMARK_IDS:
+            for kind in BetaKind:
+                p = _mlp_problem(config, config.alpha, target, 0)
+                tally += restart_tally(cfcg_minimize(
+                    p.objective, p.x0, p.frac, kind, stop=p.stop,
+                    keep_vectors=True), kind)
+        assert tally == {"staleness": 214, "descent": 1}
+
+    @pytest.mark.parametrize("kind", ["FR", "CD", "DY"])
+    def test_norm_cap_restarts_an_ill_conditioned_run(self, kind):
+        # f = (x - x*)'A(x - x*) / 2 with eigenvalues 1e-6 along u and 1e8
+        # along v, x* = 1e6 u, from 0; gamma = 0, so the closed form is the
+        # classical gradient.  At some step the coupled direction passes
+        # the sufficient-descent test but is over 1e6 times longer than g,
+        # and only the norm cap restarts it.  The run still ends in
+        # LineSearchFailure: at condition number 1e14 every kind does
+        u, v = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
+        A = 1e-6 * np.outer(u, u) + 1e8 * np.outer(v, v)
+        frac = FracParams(0.5, 1 / 3, np.zeros(2))
+        assert frac.gamma == 0.0
+        obj, _, _ = quadratic_objective(A, -A @ (1e6 * u), frac, 1e6 * u)
+        rep = cfcg_minimize(obj, np.zeros(2), frac, kind, keep_vectors=True)
+        tally = restart_tally(rep, kind)
+        assert tally["norm cap"] >= 1 and tally["unexplained"] == 0
+        assert rep.status is RunStatus.LINE_SEARCH_FAILURE
 
 
 class TestCfsd:

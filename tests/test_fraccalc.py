@@ -511,18 +511,38 @@ class TestKinkedObjective:
         return float(np.sum(np.abs(x - cls.K)) + 0.1 * (x @ x))
 
     @classmethod
-    def exact_gradient(cls, alpha, rho):
-        """[D^a f + rho (x - c) D^(1+a) f] / D^a I at X in closed form.  For
-        c < k < x, D^a |t - k| = (2 (x-k)^(1-a) - (x-c)^(1-a)) / G(2-a) and
-        D^(1+a) |t - k| = 2 (x-k)^(-a) / G(1-a); the 0.1 t^2 term and the
-        normalizer D^a I = (x-c)^(1-a) / G(2-a) are powers of x - c."""
-        a, span, gap = alpha, cls.X - cls.C, cls.X - cls.K
+    def exact_gradient(cls, alpha, rho, x=None):
+        """[D^a f + rho (x - c) D^(1+a) f] / D^a I at x > c (X if omitted)
+        in closed form.  For c < k < x, D^a |t - k| = (2 (x-k)^(1-a) -
+        (x-c)^(1-a)) / G(2-a) and D^(1+a) |t - k| = 2 (x-k)^(-a) / G(1-a);
+        for x <= k, |t - k| = k - t on [c, x], so D^a |t - k| = -D^a I and
+        D^(1+a) |t - k| = 0.  The 0.1 t^2 term and the normalizer D^a I =
+        (x-c)^(1-a) / G(2-a) are powers of x - c."""
+        x = cls.X if x is None else x
+        a, span, above = alpha, x - cls.C, x > cls.K
+        gap = np.where(above, x - cls.K, 1.0)  # 1.0: any base, never read
         g1, g2, g3 = (math.gamma(j - a) for j in (1, 2, 3))
-        d_a = ((2.0 * gap ** (1 - a) - span ** (1 - a)) / g2
-               + 0.2 * (cls.X * span ** (1 - a) / g2
+        d_a = (np.where(above, (2.0 * gap ** (1 - a) - span ** (1 - a)) / g2,
+                        -span ** (1 - a) / g2)
+               + 0.2 * (x * span ** (1 - a) / g2
                         - (1 - a) * span ** (2 - a) / g3))
-        d_1a = 2.0 * gap ** -a / g1 + 0.2 * span ** (1 - a) / g2
+        d_1a = (np.where(above, 2.0 * gap ** -a / g1, 0.0)
+                + 0.2 * span ** (1 - a) / g2)
         return (d_a + rho * span * d_1a) / (span ** (1 - a) / g2)
+
+    @classmethod
+    def fixed_point(cls, alpha, rho):
+        """Each coordinate's zero of the closed form, by bisection on
+        [k - 1, X]: the field is negative up to the kink and rises past
+        it (checked at the bracket's ends)."""
+        lo, hi = cls.K - 1.0, cls.X.copy()
+        assert np.all(cls.exact_gradient(alpha, rho, lo) < 0.0)
+        assert np.all(cls.exact_gradient(alpha, rho, hi) > 0.0)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            up = cls.exact_gradient(alpha, rho, mid) > 0.0
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        return 0.5 * (lo + hi)
 
     @pytest.mark.parametrize("alpha, rho, error_32", [
         (0.9, 0.1, 2.7522e-5), (0.5, 0.3, 1.3700e-4), (0.7, 0.0, 2.8592e-4)])
@@ -551,6 +571,21 @@ class TestKinkedObjective:
             assert rep.status is RunStatus.LINE_SEARCH_FAILURE
             assert 3 <= rep.iterations <= 18
             assert 2.9 <= self.f(rep.final_x) <= 7.0
+
+    def test_cfcg_converges_to_the_fixed_point_at_rho_0(self):
+        # with rho = 0 the field's zero is not the minimizer k: at (0.7, 0)
+        # it lies 2.05 from k at f = 6.926, and every kind ends Converged
+        # next to it after 18 iterations, at f = 6.9325
+        zero = self.fixed_point(0.7, 0.0)
+        assert np.all((zero > self.K) & (zero < self.X))
+        assert np.linalg.norm(zero - self.K) == pytest.approx(2.05, abs=0.01)
+        assert self.f(zero) == pytest.approx(6.926, abs=1e-3)
+        params = FracParams(0.7, 0.0, self.C)
+        for kind in ("FR", "CD", "DY", "PRP", "HS"):
+            rep = cfcg_minimize(Objective(self.f), self.X, params, kind,
+                                quad=QuadratureSpec(32))
+            assert rep.status is RunStatus.CONVERGED
+            assert np.linalg.norm(rep.final_x - zero) <= 0.005
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
