@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import operator
+import stat
 import sys
 import time
 import typing
@@ -103,13 +104,14 @@ class ResultRow:
     trials_completed: int
     status: str
     stop_reason: str
-    iterations: float
-    objective_evals: float
-    gradient_evals: float
-    final_grad_norm: float
-    final_dist: float
-    step_param: float
-    wall_ms: float
+    # what only a finished run knows: nan in an Error(...) row
+    iterations: float = math.nan
+    objective_evals: float = math.nan
+    gradient_evals: float = math.nan
+    final_grad_norm: float = math.nan
+    final_dist: float = math.nan
+    step_param: float = math.nan
+    wall_ms: float = 0.0
 
     def __post_init__(self):
         # beta names the CFCG update: CFSD rows, finished or failed, have none
@@ -269,36 +271,22 @@ def write_trace_csv(trace, path):
 # runners
 
 
-def _row_from_report(report, config, experiment, solver, beta, gamma,
-                     step_param, wall_ms, target=""):
-    last = report.trace[-1]
-    dist = float("nan") if last.dist_to_reference is None else last.dist_to_reference
-    return ResultRow(
-        experiment=experiment, solver=solver,
-        beta=beta, alpha=config.alpha,
-        rho=config.rho, gamma=gamma, seed=config.seed, target=target,
-        trials_completed=1,
-        status=report.status.value, stop_reason=report.stop_reason,
-        iterations=report.iterations, objective_evals=report.objective_evals,
-        gradient_evals=report.gradient_evals,
-        final_grad_norm=report.final_grad_norm, final_dist=dist,
-        step_param=step_param, wall_ms=wall_ms,
-    )
-
-
 # what one solver call needs besides the solver and its beta kind; sd_rule
-# is the problem's CFSD step rule
-_Problem = namedtuple("_Problem", "objective x0 frac stop sd_rule reference",
-                      defaults=(None,))
+# is the problem's CFSD step rule, gamma and target name the problem in
+# its result row
+_Problem = namedtuple("_Problem", "objective x0 frac stop sd_rule reference "
+                      "gamma target", defaults=(None, math.nan, ""))
 
 
-def _run_cell(config, problem, solver, beta, out_dir=None, trace_name=None):
+def _run_cell(config, experiment, problem, solver, beta, out_dir=None,
+              trace_name=None):
     """Run one solver on one problem and write its trace under out_dir
-    (if given); returns (report, wall_ms, step_param).
+    (if given); returns (row, report), the row being the run's one
+    ResultRow: alpha and rho from problem.frac, step_param the CFSD rule's
+    largest step (nan for CFCG), final_dist nan without a reference.
 
     The objective's counters are reset first, so a problem can be shared
-    by several cells.  step_param is the CFSD rule's largest step; nan
-    for CFCG.
+    by several cells.
     """
     p = problem
     p.objective.reset_counters()
@@ -306,7 +294,7 @@ def _run_cell(config, problem, solver, beta, out_dir=None, trace_name=None):
     if solver == "CFCG":
         report = cfcg_minimize(p.objective, p.x0, p.frac, beta, stop=p.stop,
                                reference=p.reference)
-        step_param = float("nan")
+        step_param = math.nan
     else:
         report = cfsd_minimize(p.objective, p.x0, p.frac, p.sd_rule,
                                stop=p.stop, reference=p.reference)
@@ -314,7 +302,13 @@ def _run_cell(config, problem, solver, beta, out_dir=None, trace_name=None):
     wall = (time.perf_counter() - t0) * 1e3
     if out_dir is not None and config.write_traces:
         write_trace_csv(report.trace, Path(out_dir) / trace_name)
-    return report, wall, step_param
+    dist = report.trace[-1].dist_to_reference
+    return ResultRow(
+        experiment, solver, beta, p.frac.alpha, p.frac.rho, p.gamma,
+        config.seed, p.target, 1, report.status.value, report.stop_reason,
+        report.iterations, report.objective_evals, report.gradient_evals,
+        report.final_grad_norm, math.nan if dist is None else dist,
+        step_param, wall), report
 
 
 def _example1_instance(config):
@@ -330,29 +324,24 @@ def _tikhonov_problem(config, prob, x0, frac, gamma):
     objective, target, _ = tikhonov_run_objective(prob, frac)
     return _Problem(objective, x0, frac,
                     StopCriteria(config.grad_tol, config.max_iter),
-                    EXAMPLE1_SD_RULE, reference=target)
+                    EXAMPLE1_SD_RULE, reference=target, gamma=gamma)
 
 
 def _example1_cell(config, experiment, setup, solver, beta, gamma, out_dir,
                    trace_name):
-    """One example1 cell as (row, report); setup() returns the problem of
-    the cell's gamma (built by the first cell that calls it).  A cell that
-    fails, setup included, gets an Error(...) row and no report.
+    """One example1 cell as _run_cell's (row, report); setup() returns the
+    problem of the cell's gamma (built by the first cell that calls it).
+    A cell that fails, setup included, gets an Error(...) row and no
+    report: the row names the cell, its error and trials_completed 0, and
+    leaves the run-only fields at their defaults (nan, wall_ms 0.0).
     perfbench's tracer times each call of this function as one cell."""
     try:
-        report, wall, step = _run_cell(config, setup(), solver, beta, out_dir,
-                                       trace_name)
+        return _run_cell(config, experiment, setup(), solver, beta, out_dir,
+                         trace_name)
     except Exception as exc:  # noqa: BLE001 - row records the failure
-        nan = float("nan")
-        return ResultRow(
-            experiment=experiment, solver=solver, beta=beta, alpha=config.alpha,
-            rho=config.rho, gamma=gamma, seed=config.seed, target="",
-            trials_completed=0, status=f"Error({type(exc).__name__})",
-            stop_reason=str(exc), iterations=nan, objective_evals=nan,
-            gradient_evals=nan, final_grad_norm=nan, final_dist=nan,
-            step_param=nan, wall_ms=0.0), None
-    return _row_from_report(report, config, experiment, solver, beta, gamma,
-                            step, wall), report
+        return ResultRow(experiment, solver, beta, config.alpha, config.rho,
+                         gamma, config.seed, "", 0,
+                         f"Error({type(exc).__name__})", str(exc)), None
 
 
 def run_example1(config, out_dir=None):
@@ -385,18 +374,22 @@ def _mlp_problem(config, alpha, target, trial):
         mlp_objective(spec, target, data_ss), mlp_init(spec, init_ss),
         FracParams(alpha, config.rho, mlp_lower_terminal(spec)),
         StopCriteria(config.grad_tol, config.max_iter,
-                     f_decrease_tol=config.f_decrease_tol), MLP_SD_RULE)
+                     f_decrease_tol=config.f_decrease_tol), MLP_SD_RULE,
+        target=target)
 
 
-def _mean_row(reports, walls, config, solver, beta, alpha, target, step_param):
-    worst = max(reports, key=lambda r: (r.status is not RunStatus.CONVERGED,))
-    row = _row_from_report(worst, config, "example2", solver, beta, float("nan"),
-                           step_param, float(np.sum(walls)), target)
-    means = {name: float(np.mean([getattr(r, name) for r in reports]))
+def _mean_row(rows):
+    """One row for a cell's trials: the worst trial's row (the first that
+    did not converge, else the first) with the trials' mean iterations,
+    objective and gradient evaluations and final gradient norm, their
+    summed wall_ms, trials_completed and stop_reason mean-over-trials."""
+    worst = max(rows, key=lambda r: r.status != RunStatus.CONVERGED.value)
+    means = {name: float(np.mean([getattr(r, name) for r in rows]))
              for name in ("iterations", "objective_evals", "gradient_evals",
                           "final_grad_norm")}
-    return dataclasses.replace(row, alpha=alpha, trials_completed=len(reports),
-                               stop_reason="mean-over-trials", **means)
+    return dataclasses.replace(
+        worst, trials_completed=len(rows), stop_reason="mean-over-trials",
+        wall_ms=float(np.sum([r.wall_ms for r in rows])), **means)
 
 
 def run_example2(config, out_dir=None):
@@ -410,17 +403,13 @@ def run_example2(config, out_dir=None):
     for alpha in alphas:
         for target in config.targets:
             for solver, beta_kind in cells:
-                reports, walls = [], []
-                for trial in range(config.trials):
-                    problem = _mlp_problem(config, alpha, target, trial)
-                    name = (f"trace_example2_a{alpha:g}_{target}_"
-                            f"{solver}{beta_kind}_t{trial}.csv")
-                    report, wall, step = _run_cell(config, problem, solver,
-                                                   beta_kind, out_dir, name)
-                    walls.append(wall)
-                    reports.append(report)
-                rows.append(_mean_row(reports, walls, config, solver, beta_kind,
-                                      alpha, target, step))
+                trials = [_run_cell(config, "example2",
+                                    _mlp_problem(config, alpha, target, trial),
+                                    solver, beta_kind, out_dir,
+                                    f"trace_example2_a{alpha:g}_{target}_"
+                                    f"{solver}{beta_kind}_t{trial}.csv")[0]
+                          for trial in range(config.trials)]
+                rows.append(_mean_row(trials))
     return rows
 
 
@@ -435,11 +424,9 @@ def run_single(config, out_dir=None):
         setup = functools.partial(_tikhonov_problem, config, prob, x0, frac, gamma)
         return _example1_cell(config, "single", setup, solver, beta, gamma,
                               out_dir, "trace_single.csv")
-    target = config.problem[4:]
-    report, wall, step = _run_cell(config, _mlp_problem(
-        config, config.alpha, target, 0), solver, beta, out_dir, "trace_single.csv")
-    return _row_from_report(report, config, "single", solver, beta, float("nan"),
-                            step, wall, target), report
+    return _run_cell(config, "single", _mlp_problem(
+        config, config.alpha, config.problem[4:], 0), solver, beta, out_dir,
+        "trace_single.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +531,17 @@ def main(argv=None):
                   else load_config(args.config))
         config = _apply_overrides(config, args)
         out_dir = Path(config.out)
-        # a file on the out path or a name the OS rejects would fail only after
-        # every cell has run; not in _check_config: Python callers pass out_dir
-        try:
-            if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
-                raise ConfigError(f"out: {out_dir} is not a directory")
-        except OSError as exc:  # ENAMETOOLONG, say
-            raise ConfigError(f"out: {exc}") from exc
+        # a file on the out path or any OS error but "does not exist" (a name
+        # too long, a symlink loop) would fail only after every cell has run;
+        # not in _check_config: Python callers pass out_dir
+        for p in reversed((out_dir, *out_dir.parents)):
+            try:
+                if not stat.S_ISDIR(p.stat().st_mode):
+                    raise ConfigError(f"out: {out_dir} is not a directory")
+            except FileNotFoundError:
+                break  # nor does anything under p
+            except OSError as exc:
+                raise ConfigError(f"out: {exc}") from exc
         if args.command == "single":
             rows = [run_single(config, out_dir)[0]]
         elif args.command == "example1":

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -21,7 +22,8 @@ from cfcg.cli import (EXAMPLE1_SD_RULE, MLP_SD_RULE, ConfigError,
 from cfcg.engine import (IterRecord, LineSearchParams, RunStatus,
                          StopCriteria, cfcg_minimize)
 from cfcg.fraccalc import FracParams
-from cfcg.problems import Example1Config, gen_example1, tikhonov_run_objective
+from cfcg.problems import (BENCHMARK_IDS, Example1Config, gen_example1,
+                           tikhonov_run_objective)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -300,7 +302,7 @@ class TestSerialization:
         config = TINY
         prob, x0, frac = _example1_instance(config)
         problem = _tikhonov_problem(config, prob, x0, frac, 1.0)
-        report, _, _ = _run_cell(config, problem, "CFCG", "FR")
+        _, report = _run_cell(config, "example1", problem, "CFCG", "FR")
         path = tmp_path / "trace.csv"
         write_trace_csv(report.trace, path)
         parsed = read_csv_rows(path)
@@ -362,7 +364,7 @@ class TestExample1Runner:
         target_row = next(r for r in rows
                           if r.solver == "CFCG" and r.beta == "DY" and r.gamma == 2.0)
         problem = _tikhonov_problem(DESK, prob, x0, frac, 2.0)
-        report, _, _ = _run_cell(DESK, problem, "CFCG", "DY")
+        _, report = _run_cell(DESK, "example1", problem, "CFCG", "DY")
         assert report.iterations == target_row.iterations
         assert report.objective_evals == target_row.objective_evals
         assert report.final_grad_norm == target_row.final_grad_norm
@@ -393,6 +395,22 @@ class TestExample1Runner:
         assert all(r.status == "Error(ArithmeticError)" for r in rows)
         assert [(r.solver, r.beta) for r in rows] == [
             ("CFCG", "FR"), ("CFSD", ""), ("CFCG", "CD"), ("CFSD", "")]
+
+    def test_failed_cell_row(self, tmp_path):
+        # an Error(...) row knows the cell and its error, not a run: every
+        # run-only field is nan, wall_ms 0, and results.json writes nan null
+        rows = run_example1(dataclasses.replace(TINY, rho=-50.0))
+        run_only = ("iterations", "objective_evals", "gradient_evals",
+                    "final_grad_norm", "final_dist", "step_param")
+        for row in rows:
+            assert row.status == "Error(ArithmeticError)"
+            assert row.trials_completed == 0 and row.wall_ms == 0.0
+            assert all(math.isnan(getattr(row, name)) for name in run_only)
+        write_rows(rows, tmp_path / "results.json", "json")
+        for got in json.loads((tmp_path / "results.json").read_text()):
+            assert [got[name] for name in run_only] == [None] * len(run_only)
+            assert (got["trials_completed"], got["wall_ms"]) == (0, 0.0)
+            assert (got["alpha"], got["rho"], got["gamma"]) == (0.9, -50.0, 1.0)
 
     def test_failed_setup_fails_each_cell_of_its_gamma(self):
         # rho = -5 leaves the iteration matrix indefinite at gamma 0.5 but
@@ -435,6 +453,24 @@ class TestExample2Runner:
         rows = run_example2(config)
         again = run_example2(config)
         assert rows_without_wall(rows) == rows_without_wall(again)
+
+    @pytest.mark.parametrize("solver", ["CFCG", "CFSD"])
+    @pytest.mark.parametrize("target", BENCHMARK_IDS)
+    def test_single_trial_row_is_the_single_row(self, solver, target):
+        # one trial's mean row is the run's own row, every count, alpha,
+        # rho, target and step_param alike: only the experiment, the mean's
+        # stop_reason and the wall time differ
+        config = dataclasses.replace(self.CONFIG, trials=1, targets=(target,),
+                                     beta_kinds=("PRP",), solvers=(solver,))
+        [mean] = run_example2(config)
+        row, _ = run_single(dataclasses.replace(config, problem=f"mlp-{target}"))
+        assert (mean.experiment, mean.stop_reason) == (
+            "example2", "mean-over-trials")
+        assert (row.experiment, row.trials_completed) == ("single", 1)
+        assert rows_without_wall([dataclasses.replace(
+            mean, experiment="single", stop_reason=row.stop_reason)]) == (
+                rows_without_wall([row]))
+        assert (mean.alpha, mean.rho, mean.target) == (0.9, 0.1, target)
 
     def test_alpha_grid_sweep(self):
         config = dataclasses.replace(self.CONFIG, alpha_grid=(0.8, 0.9),
@@ -820,6 +856,18 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("config error: out: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_out_through_a_symlink_loop(self, tmp_path, capsys):
+        # Path.exists() reads ELOOP as "no such file", so a check built on
+        # it lets the run start and write_rows fail after it; only "does
+        # not exist" may pass the check
+        (tmp_path / "loop").symlink_to("loop")
+        argv = ["single", "--problem", "example1", "--max-iter", "2",
+                "--out", str(tmp_path / "loop" / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: out: [Errno {errno.ELOOP}] ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_single_is_the_first_sweep_cell(self, tmp_path):
         cfg = tmp_path / "small.cfg"
