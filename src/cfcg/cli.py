@@ -284,12 +284,8 @@ def _run_cell(config, experiment, problem, solver, beta, out_dir=None,
     (if given); returns (row, report), the row being the run's one
     ResultRow: alpha and rho from problem.frac, step_param the CFSD rule's
     largest step (nan for CFCG), final_dist nan without a reference.
-
-    The objective's counters are reset first, so a problem can be shared
-    by several cells.
     """
     p = problem
-    p.objective.reset_counters()
     t0 = time.perf_counter()
     if solver == "CFCG":
         report = cfcg_minimize(p.objective, p.x0, p.frac, beta, stop=p.stop,
@@ -539,6 +535,8 @@ def main(argv=None):
                 if not stat.S_ISDIR(p.stat().st_mode):
                     raise ConfigError(f"out: {out_dir} is not a directory")
             except FileNotFoundError:
+                if p.is_symlink():  # dangling: mkdir would find it there
+                    raise ConfigError(f"out: {p} is a symlink to a missing path")
                 break  # nor does anything under p
             except OSError as exc:
                 raise ConfigError(f"out: {exc}") from exc

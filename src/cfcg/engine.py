@@ -123,18 +123,16 @@ class GridStep:
 
 
 class Objective:
-    """An objective with instrumented call counters.
+    """An objective f with two optional hooks that replace probes of f.
 
-    ``eval`` increments ``objective_evals`` by exactly one per call; the
-    quadrature path probes the function through ``eval_uncounted`` so
-    counters reflect only the solver-level evaluations.  Two optional
-    hooks replace probes of f.  ``frac_gradient`` is an analytic
-    fractional gradient, used by quadratic problems in place of
-    quadrature.  ``eval_line(x, ts)`` gives f' and f'' along every
-    coordinate line of x, line i's K abscissae at ts[i K:(i + 1) K], as a
-    (2, ts.size) array; with it the quadrature takes a Gauss-Jacobi rule
-    (see fraccalc.frac_gradient_general).  Neither touches the counters,
-    and with either the solvers need no QuadratureSpec.
+    ``frac_gradient`` is an analytic fractional gradient, used by quadratic
+    problems in place of quadrature.  ``eval_line(x, ts)`` gives f' and f''
+    along every coordinate line of x, line i's K abscissae at
+    ts[i K:(i + 1) K], as a (2, ts.size) array; with it the quadrature
+    takes a Gauss-Jacobi rule (see fraccalc.frac_gradient_general).  With
+    either hook the solvers need no QuadratureSpec.  The trapezoid rule
+    probes ``fn`` directly; each run counts its own evaluations (see
+    RunReport), so one objective can serve any number of runs.
 
     The solvers pass every point they evaluate as a read-only array that
     owns its data, so ``fn`` and ``frac_gradient`` may share work done at
@@ -146,19 +144,9 @@ class Objective:
         self.frac_gradient = frac_gradient
         if eval_line is not None:
             self.eval_line = eval_line
-        self.objective_evals = 0
-        self.gradient_evals = 0
 
     def eval(self, x):
-        self.objective_evals += 1
         return float(self.fn(x))
-
-    def eval_uncounted(self, x):
-        return float(self.fn(x))
-
-    def reset_counters(self):
-        self.objective_evals = 0
-        self.gradient_evals = 0
 
 
 @dataclass
@@ -183,6 +171,7 @@ class RunReport:
     status: RunStatus
     stop_reason: str
     iterations: int
+    # this run's own evaluations: solver-level f values, fractional gradients
     objective_evals: int
     gradient_evals: int
     final_x: np.ndarray
@@ -311,9 +300,11 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     stop = stop or StopCriteria()
     hook = f.frac_gradient
     etas = rule.etas if kind is None else None
+    grads = 0
 
     def grad(x):
-        f.gradient_evals += 1
+        nonlocal grads
+        grads += 1
         if hook is not None:
             return np.asarray(hook(x), dtype=float)
         return frac_gradient_general(f, x, frac, quad)
@@ -321,6 +312,7 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     x = np.array(x0, dtype=float)
     x.setflags(write=False)
     f_x = f.eval(x)
+    evals = 1
     g = grad(x)
     g_prev = d_prev = None
     increase_streak = 0
@@ -361,6 +353,7 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
                 # the run; else the first lowest
                 if f_new == f_new and not f_j >= f_new:
                     eta, x_new, f_new = eta_j, x_j, f_j
+            evals += len(etas)
             g_new = grad(x_new)
             increase_streak = increase_streak + 1 if f_new > f_x else 0
         else:
@@ -379,8 +372,10 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
             try:
                 res = armijo_wolfe_search(f, grad, x, d, g, rule, f_x=f_x)
             except LineSearchError as exc:
+                evals += rule.max_trials  # every trial was spent
                 status, reason = RunStatus.LINE_SEARCH_FAILURE, str(exc)
                 break
+            evals += res.trials
             eta, x_new, f_new, g_new = res.eta, res.x_new, res.f_new, res.g_new
             g_prev, d_prev = g, d
 
@@ -408,8 +403,8 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     trace.append(IterRecord(k, f_x, gn, math.nan, math.nan, math.nan,
                             math.nan, False, _distance(x, reference)))
     # the iterate is a read-only trial point; the caller gets its own copy
-    return RunReport(status, reason, k, f.objective_evals,
-                     f.gradient_evals, x.copy(), gn, trace, xs, gs, ds, steps)
+    return RunReport(status, reason, k, evals, grads, x.copy(), gn, trace,
+                     xs, gs, ds, steps)
 
 
 def cfcg_minimize(f, x0, frac, kind, ls=None, stop=None, quad=None,
@@ -450,7 +445,7 @@ def recheck_armijo_wolfe(report, f, grad, ls):
     """Re-evaluate both accepted-step conditions along a kept-vector run.
 
     Returns the smallest slack over all accepted steps (negative slack
-    means a violated condition).  Evaluations here are uncounted probes.
+    means a violated condition).
     """
     if report.xs is None or report.ds is None:
         raise ValueError("run kept no line-search steps "
@@ -459,7 +454,7 @@ def recheck_armijo_wolfe(report, f, grad, ls):
     for x, g, d, eta in zip(report.xs, report.gs, report.ds, report.steps):
         gd = float(g @ d)
         x_new = x + eta * d
-        armijo = (f.eval_uncounted(x) + ls.c1 * eta * gd) - f.eval_uncounted(x_new)
+        armijo = (f.eval(x) + ls.c1 * eta * gd) - f.eval(x_new)
         wolfe = float(grad(x_new) @ d) - ls.c2 * gd
         worst = min(worst, armijo, wolfe)
     return worst

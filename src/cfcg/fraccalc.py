@@ -191,8 +191,8 @@ def frac_gradient_quadratic(A, b, x, params):
 def _line_samples(f, x, ii, pts):
     """f along the coordinate lines ii at the abscissae ``pts``, one row
     per coordinate, returned in that shape, probed point by point through
-    ``eval_uncounted`` (or the plain callable)."""
-    fn = getattr(f, "eval_uncounted", f)
+    ``fn`` of an Objective (or the plain callable)."""
+    fn = getattr(f, "fn", f)
     z = np.array(x, dtype=float)
     out = np.empty(pts.size)
     for j, (i, t) in enumerate(zip(np.repeat(ii, pts.shape[1]), pts.flat)):
@@ -221,7 +221,7 @@ def frac_gradient_general(f, x, params, spec):
 
     Any other objective needs a spec (else ValueError) and takes the
     product-trapezoid rule of spec.node_count cells, whose weights also sum
-    to one, probing ``eval_uncounted`` (or the plain callable) once per
+    to one, probing ``fn`` of an Objective (or the plain callable) once per
     node, at the N+1 rule nodes and two ghost nodes beyond each end (up
     to 2 |x_i - c_i| / N outside [c_i, x_i]); f' and f'' come from
     fourth-order central stencils there, exact on quadratics and folded

@@ -869,6 +869,17 @@ class TestMainEntry:
         assert err.startswith(f"config error: out: [Errno {errno.ELOOP}] ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_out_through_a_dangling_symlink(self, tmp_path, capsys):
+        # stat() reads a dangling link as "does not exist", but write_rows's
+        # mkdir finds the link and fails after the run
+        (tmp_path / "dangling").symlink_to("nowhere")
+        argv = ["single", "--problem", "example1", "--max-iter", "2",
+                "--out", str(tmp_path / "dangling" / "x")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: out: {tmp_path / 'dangling'} "
+                       "is a symlink to a missing path\n")
+
     def test_single_is_the_first_sweep_cell(self, tmp_path):
         cfg = tmp_path / "small.cfg"
         cfg.write_text("m = 20\nn = 20\n")

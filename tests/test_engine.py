@@ -334,7 +334,7 @@ class TestCfcg:
 
     def test_quadrature_path_does_not_count_objective_evals(self):
         # general-gradient path: the quadrature probes f thousands of
-        # times but the counter only sees solver-level evaluations
+        # times but the report counts only solver-level evaluations
         frac = FracParams(0.9, 0.1, np.full(2, -1.0))
         obj = Objective(lambda x: 0.5 * float(x @ x))
         quad = QuadratureSpec(node_count=64)
@@ -345,6 +345,29 @@ class TestCfcg:
         assert rep.objective_evals < 200
         assert rep.objective_evals >= rep.iterations + 1
         assert rep.gradient_evals >= rep.iterations + 1
+
+    @pytest.mark.parametrize("case, counts", [
+        # 20 iterations, one gradient per iteration plus the initial one
+        ("quadratic-FR", (35, 21)),
+        # 1 initial + 2 one-trial steps + all 60 trials of the failed search
+        ("black-box-PRP", (63, 23)),
+    ])
+    def test_each_run_counts_its_own_evals(self, case, counts):
+        # the README's two quick-start objectives, each run twice: the
+        # second report counts only its own run
+        if case == "quadratic-FR":
+            A, b = np.diag([1.0, 4.0]), np.array([-1.0, -8.0])
+            frac = FracParams(0.9, 0.1, np.zeros(2))
+            obj, _, _ = quadratic_objective(A, b, frac)
+            run = lambda: cfcg_minimize(obj, np.ones(2), frac, "FR")
+        else:
+            obj = Objective(lambda x: float(np.sum(np.cos(x) + 0.1 * x**2)))
+            frac = FracParams(0.9, 0.1, np.full(3, -4.0))
+            run = lambda: cfcg_minimize(obj, np.full(3, 2.0), frac, "PRP",
+                                        quad=QuadratureSpec(node_count=64))
+        first, second = run(), run()
+        assert (first.objective_evals, first.gradient_evals) == counts
+        assert (second.objective_evals, second.gradient_evals) == counts
 
     def test_requires_quad_spec_without_hook(self):
         obj = Objective(lambda x: float(x @ x))
@@ -606,18 +629,6 @@ def test_non_finite_mid_run_stops_before_divergence_streak():
     assert rep.objective_evals == 2
     assert math.isfinite(rep.trace[-1].f_value)
     assert rep.final_grad_norm == math.inf
-
-
-class TestObjectiveCounters:
-    def test_eval_counts_one_per_call(self):
-        obj = Objective(lambda x: float(np.sum(x)))
-        for _ in range(7):
-            obj.eval(np.ones(3))
-        assert obj.objective_evals == 7
-        obj.eval_uncounted(np.ones(3))
-        assert obj.objective_evals == 7
-        obj.reset_counters()
-        assert obj.objective_evals == 0 and obj.gradient_evals == 0
 
 
 # every accepted step of a kept-vector CFCG run meets both line-search

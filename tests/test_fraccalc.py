@@ -307,7 +307,7 @@ class TestGeneralGradient:
     def test_line_evaluator_gives_the_plain_gradient(self):
         # the hook path is the Gauss-Jacobi mean of f' + rho (x_i - c_i) f''
         # of the plain function: here with its derivatives taken by
-        # fourth-order central differences of eval_uncounted at the nodes
+        # fourth-order central differences of eval at the nodes
         spec = MlpSpec(hidden_units=6, train_points=20, trials=1)
         obj = mlp_objective(spec, "h2", data_seed=5)
         c = mlp_lower_terminal(spec)
@@ -320,8 +320,8 @@ class TestGeneralGradient:
             for i in range(x.size):
                 for k, t in enumerate(c[i] + span[i] * s):
                     lo2, lo1, mid, up1, up2 = (
-                        obj.eval_uncounted(np.where(np.arange(x.size) == i,
-                                                    t + m * h, x))
+                        obj.eval(np.where(np.arange(x.size) == i,
+                                          t + m * h, x))
                         for m in (-2, -1, 0, 1, 2))
                     d1[i, k] = (lo2 - up2 + 8.0 * (up1 - lo1)) / (12.0 * h)
                     d2[i, k] = ((16.0 * (lo1 + up1) - lo2 - up2 - 30.0 * mid)
@@ -378,7 +378,7 @@ class TestGeneralGradient:
             up, down = x.copy(), x.copy()
             up[i] += h
             down[i] -= h
-            classical = (obj.eval_uncounted(up) - obj.eval_uncounted(down)) / (2 * h)
+            classical = (obj.eval(up) - obj.eval(down)) / (2 * h)
             assert got[i] == pytest.approx(classical, rel=1e-8, abs=1e-10)
 
     def test_near_terminal_coordinate_is_central_difference(self):
@@ -433,8 +433,8 @@ class TestGeneralGradient:
                     worst = max(worst, np.linalg.norm(got - ref)
                                 / np.linalg.norm(ref))
         assert worst <= 1.05 * 1.04e-5
-        # the reference is the trapezoid rule on eval_uncounted
-        plain = frac_gradient_general(obj.eval_uncounted, x,
+        # the reference is the trapezoid rule on eval
+        plain = frac_gradient_general(obj.eval, x,
                                       FracParams(alpha, rho, c),
                                       QuadratureSpec(2048))
         assert np.max(np.abs(plain - ref)) <= 1e-9 * np.max(np.abs(ref))

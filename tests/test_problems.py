@@ -199,10 +199,10 @@ class TestMlpObjective:
         z = mlp_dataset(self.SPEC, 11)
         tv = benchmark_fn("h1", z)
         p = np.zeros(19)
-        assert obj.eval_uncounted(p) == pytest.approx(float(np.mean(tv**2)),
-                                                      rel=1e-14)
+        assert obj.eval(p) == pytest.approx(float(np.mean(tv**2)),
+                                            rel=1e-14)
         p[-1] = 0.7
-        assert obj.eval_uncounted(p) == pytest.approx(
+        assert obj.eval(p) == pytest.approx(
             float(np.mean((0.7 - tv) ** 2)), rel=1e-14)
 
     def test_dataset_bounds_and_determinism(self):
@@ -211,14 +211,7 @@ class TestMlpObjective:
         a = mlp_objective(self.SPEC, "h3", data_seed=42)
         b = mlp_objective(self.SPEC, "h3", data_seed=42)
         p = mlp_init(self.SPEC, 1)
-        assert a.eval_uncounted(p) == b.eval_uncounted(p)
-
-    def test_counter_integrity(self):
-        obj = mlp_objective(self.SPEC, "h2", data_seed=3)
-        p = mlp_init(self.SPEC, 2)
-        for _ in range(9):
-            obj.eval(p)
-        assert obj.objective_evals == 9
+        assert a.eval(p) == b.eval(p)
 
     def test_line_evaluator_matches_pointwise(self):
         # every line of all four blocks at once, 13 abscissae each: f' and
@@ -243,7 +236,7 @@ class TestMlpObjective:
         for i in range(p.size):
             e = np.zeros_like(p)
             e[i] = h
-            fd[i] = (obj.eval_uncounted(p + e) - obj.eval_uncounted(p - e)) / (2 * h)
+            fd[i] = (obj.eval(p + e) - obj.eval(p - e)) / (2 * h)
         assert np.linalg.norm(fd - ana) / np.linalg.norm(ana) <= 1e-4
 
     def test_init_bounds_and_determinism(self):
@@ -270,11 +263,11 @@ class TestMlpObjective:
 
 def line_differences(obj, p, i, t, h=1e-3):
     """f' and f'' of obj along coordinate i at t, from the fourth-order
-    central differences of eval_uncounted with step h."""
+    central differences of eval with step h."""
     def f(value):
         q = p.copy()
         q[i] = value
-        return obj.eval_uncounted(q)
+        return obj.eval(q)
 
     lo2, lo1, mid, up1, up2 = (f(t + k * h) for k in (-2, -1, 0, 1, 2))
     return ((lo2 - up2 + 8.0 * (up1 - lo1)) / (12.0 * h),
@@ -290,7 +283,7 @@ def assert_line_derivatives(obj, p, idx, ts, out, rel=1e-7):
         fd1, fd2 = line_differences(obj, p, i, t)
         q = p.copy()
         q[i] = t
-        scale = 1.0 + abs(obj.eval_uncounted(q))
+        scale = 1.0 + abs(obj.eval(q))
         assert abs(d1 - fd1) <= rel * (scale + abs(fd1)), (i, t, d1, fd1)
         assert abs(d2 - fd2) <= rel * (scale + abs(fd2)), (i, t, d2, fd2)
 
@@ -390,4 +383,4 @@ def test_line_evaluator_takes_whole_lines(seed, hidden, train, scale, K):
     for q in (p, rng.uniform(-scale, scale, p.size)):
         w, b1, v, b2 = q[:H], q[H:2 * H], q[2 * H:3 * H], q[3 * H]
         want = np.mean((np.tanh(np.outer(z, w) + b1) @ v + b2 - tv) ** 2)
-        assert obj.eval_uncounted(q) == float(want)
+        assert obj.eval(q) == float(want)
