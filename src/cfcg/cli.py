@@ -21,7 +21,6 @@ import itertools
 import json
 import math
 import operator
-import stat
 import sys
 import time
 import typing
@@ -526,20 +525,12 @@ def main(argv=None):
         config = (ExperimentConfig() if args.config is None
                   else load_config(args.config))
         config = _apply_overrides(config, args)
+        _check_config(config)  # before mkdir: an invalid config makes nothing
         out_dir = Path(config.out)
-        # a file on the out path or any OS error but "does not exist" (a name
-        # too long, a symlink loop) would fail only after every cell has run;
-        # not in _check_config: Python callers pass out_dir
-        for p in reversed((out_dir, *out_dir.parents)):
-            try:
-                if not stat.S_ISDIR(p.stat().st_mode):
-                    raise ConfigError(f"out: {out_dir} is not a directory")
-            except FileNotFoundError:
-                if p.is_symlink():  # dangling: mkdir would find it there
-                    raise ConfigError(f"out: {p} is a symlink to a missing path")
-                break  # nor does anything under p
-            except OSError as exc:
-                raise ConfigError(f"out: {exc}") from exc
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte
+            raise ConfigError(f"out: {exc}") from exc
         if args.command == "single":
             rows = [run_single(config, out_dir)[0]]
         elif args.command == "example1":

@@ -870,15 +870,32 @@ class TestMainEntry:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_out_through_a_dangling_symlink(self, tmp_path, capsys):
-        # stat() reads a dangling link as "does not exist", but write_rows's
-        # mkdir finds the link and fails after the run
+        # stat() reads a dangling link as "does not exist", but mkdir finds
+        # the link: exit 2 before the run, not a traceback after it
         (tmp_path / "dangling").symlink_to("nowhere")
         argv = ["single", "--problem", "example1", "--max-iter", "2",
                 "--out", str(tmp_path / "dangling" / "x")]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err == (f"config error: out: {tmp_path / 'dangling'} "
-                       "is a symlink to a missing path\n")
+        assert err == (f"config error: out: [Errno {errno.EEXIST}] File exists: "
+                       f"'{tmp_path / 'dangling'}'\n")
+
+    def test_out_with_a_nul_byte(self, tmp_path, capsys):
+        # a NUL byte is a ValueError, not an OSError, from every path call
+        cfg = tmp_path / "nul.cfg"
+        cfg.write_text(f"out = {tmp_path}/a\0b\nmax_iter = 2\n")
+        assert main(["single", "--problem", "example1", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_invalid_config_makes_no_out(self, tmp_path, capsys):
+        # the config is checked before the out directory is made
+        out = tmp_path / "new" / "o"
+        assert main(["single", "--beta", "XX", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown beta kind(s): XX\n")
+        assert not (tmp_path / "new").exists()
 
     def test_single_is_the_first_sweep_cell(self, tmp_path):
         cfg = tmp_path / "small.cfg"

@@ -587,6 +587,40 @@ class TestKinkedObjective:
             assert rep.status is RunStatus.CONVERGED
             assert np.linalg.norm(rep.final_x - zero) <= 0.005
 
+    def test_sign_changes_at_rho_above_0(self):
+        # at the paper's settings each coordinate's field is negative on
+        # (c, k) and positive on (k, X]: it changes sign only at the kink,
+        # the minimizer.  A small rho does not do that: at (0.7, 0.05) the
+        # field turns negative again past the kink and has two zeros above it
+        u = np.logspace(-9.0, 0.0, 4000)[:, None]  # log-spaced toward k
+        below = self.K - (self.K - self.C) * u[:-1]  # c itself left out
+        above = self.K + (self.X - self.K) * u
+        for alpha, rho in [(0.9, 0.1), (0.5, 0.3)]:
+            assert np.all(self.exact_gradient(alpha, rho, below) < 0.0)
+            assert np.all(self.exact_gradient(alpha, rho, above) > 0.0)
+        for rho, two_zeros in [(0.05, 7), (0.1, 4)]:
+            up = self.exact_gradient(0.7, rho, above) > 0.0
+            assert np.sum(np.diff(up, axis=0).sum(axis=0) == 2) == two_zeros
+
+        def field0(t):  # coordinate 0 at (0.7, 0.05); its kink is at -2.6146
+            x = self.X.copy()
+            x[0] = t
+            return self.exact_gradient(0.7, 0.05, x)[0]
+
+        def zero(lo, hi):
+            up = field0(lo) > 0.0
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if (field0(mid) > 0.0) == up else (lo, mid)
+            return 0.5 * (lo + hi)
+
+        assert self.K[0] == pytest.approx(-2.6146, abs=1e-4)
+        assert field0(self.K[0] + 1e-6) == pytest.approx(596, abs=1)
+        assert field0(-2.3) == pytest.approx(-0.218, abs=1e-3)
+        assert field0(-1.5) == pytest.approx(0.232, abs=1e-3)
+        assert zero(self.K[0] + 1e-6, -2.3) == pytest.approx(-2.6070, abs=1e-3)
+        assert zero(-2.3, -1.5) == pytest.approx(-2.0000, abs=1e-3)
+
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
