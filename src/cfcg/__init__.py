@@ -1,8 +1,8 @@
 """Caputo fractional conjugate-gradient optimization."""
 
-from .engine import (BetaKind, DenominatorUnderflow, GridStep, IterRecord,
-                     LineSearchError, LineSearchParams, Objective, RunReport,
-                     RunStatus, StopCriteria, armijo_wolfe_search, beta_value,
+from .engine import (BetaKind, GridStep, IterRecord, LineSearchError,
+                     LineSearchParams, Objective, RunReport, RunStatus,
+                     StopCriteria, armijo_wolfe_search, beta_value,
                      cfcg_minimize, cfsd_minimize, direction,
                      recheck_armijo_wolfe)
 from .fraccalc import (FracParams, QuadratureSpec, frac_gradient_general,
@@ -17,7 +17,7 @@ from .tikhonov import (LeastSquaresProblem, SingularSystemError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaKind", "DenominatorUnderflow", "Example1Config",
+    "BetaKind", "Example1Config",
     "FracParams", "GridStep", "IterRecord", "LeastSquaresProblem",
     "LineSearchError", "LineSearchParams", "MlpSpec", "Objective",
     "QuadratureSpec", "RunReport", "RunStatus", "SingularSystemError",

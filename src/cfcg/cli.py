@@ -326,17 +326,18 @@ def _example1_cell(config, experiment, setup, solver, beta, gamma, out_dir,
                    trace_name):
     """One example1 cell as _run_cell's (row, report); setup() returns the
     problem of the cell's gamma (built by the first cell that calls it).
-    A cell that fails, setup included, gets an Error(...) row and no
-    report: the row names the cell, its error and trials_completed 0, and
-    leaves the run-only fields at their defaults (nan, wall_ms 0.0).
+    A cell whose set-up fails gets an Error(...) row and no report: the
+    row names the cell, its error and trials_completed 0, and leaves the
+    run-only fields at their defaults (nan, wall_ms 0.0).
     perfbench's tracer times each call of this function as one cell."""
     try:
-        return _run_cell(config, experiment, setup(), solver, beta, out_dir,
-                         trace_name)
+        problem = setup()
     except Exception as exc:  # noqa: BLE001 - row records the failure
         return ResultRow(experiment, solver, beta, config.alpha, config.rho,
                          gamma, config.seed, "", 0,
                          f"Error({type(exc).__name__})", str(exc)), None
+    return _run_cell(config, experiment, problem, solver, beta, out_dir,
+                     trace_name)
 
 
 def run_example1(config, out_dir=None):
@@ -390,7 +391,7 @@ def _mean_row(rows):
 def run_example2(config, out_dir=None):
     """Network-training comparison; one mean row per (alpha, target, solver/beta)."""
     _check_config(config)
-    alphas = config.alpha_grid if config.alpha_grid else (config.alpha,)
+    alphas = config.alpha_grid or (config.alpha,)
     cells = [("CFCG", bk) for bk in config.beta_kinds if "CFCG" in config.solvers]
     if "CFSD" in config.solvers:
         cells.append(("CFSD", ""))
@@ -410,7 +411,7 @@ def run_example2(config, out_dir=None):
 
 def run_single(config, out_dir=None):
     """The first cell of the configured sweep; returns (row, report).  On
-    example1 a failed cell gives the sweep's Error(...) row and no report."""
+    example1 a failed set-up gives the sweep's Error(...) row and no report."""
     _check_config(config)
     solver, beta = config.solvers[0], config.beta_kinds[0]
     if config.problem == "example1":
@@ -420,8 +421,8 @@ def run_single(config, out_dir=None):
         return _example1_cell(config, "single", setup, solver, beta, gamma,
                               out_dir, "trace_single.csv")
     return _run_cell(config, "single", _mlp_problem(
-        config, config.alpha, config.problem[4:], 0), solver, beta, out_dir,
-        "trace_single.csv")
+        config, (config.alpha_grid or (config.alpha,))[0], config.problem[4:],
+        0), solver, beta, out_dir, "trace_single.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +538,13 @@ def main(argv=None):
             rows = run_example1(config, out_dir)
         else:
             rows = run_example2(config, out_dir)
+        write_rows(rows, out_dir / f"results.{config.format}", config.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    write_rows(rows, out_dir / f"results.{config.format}", config.format)
+    except OSError as exc:  # a trace or results file the OS refuses
+        print(f"config error: out: {exc}", file=sys.stderr)
+        return 2
     print(f"{len(rows)} result row(s) -> {out_dir}/results.{config.format}")
     return 0 if all(r.status == RunStatus.CONVERGED.value for r in rows) else 1
 

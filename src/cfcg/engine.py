@@ -28,7 +28,6 @@ __all__ = [
     "IterRecord",
     "RunReport",
     "LineSearchResult",
-    "DenominatorUnderflow",
     "LineSearchError",
     "beta_value",
     "direction",
@@ -67,10 +66,6 @@ class RunStatus(str, enum.Enum):
     CONVERGED = "Converged"
     MAX_ITER = "MaxIter"
     LINE_SEARCH_FAILURE = "LineSearchFailure"
-
-
-class DenominatorUnderflow(ArithmeticError):
-    """A beta denominator is negligible against the numerator scale."""
 
 
 class LineSearchError(RuntimeError):
@@ -196,9 +191,8 @@ class LineSearchResult:
 def beta_value(kind, g_k, g_prev, d_prev):
     """One of the five conjugate-direction couplings.
 
-    PRP and HS return max(0, formula).  Raises DenominatorUnderflow when
-    the denominator is negligible relative to the numerator's terms;
-    callers restart with beta = 0.
+    PRP and HS return max(0, formula).  Returns None when the denominator
+    is negligible relative to the numerator's terms (see direction).
     """
     kind = BetaKind(kind)
     g_k = np.asarray(g_k, dtype=float)
@@ -220,9 +214,7 @@ def beta_value(kind, g_k, g_prev, d_prev):
         num, scale = gg - gp, gg + abs(gp)
 
     if abs(den) < DENOMINATOR_FLOOR * scale:
-        raise DenominatorUnderflow(
-            f"{kind.value} denominator {den:.3e} below floor for scale {scale:.3e}"
-        )
+        return None
 
     value = (-num if kind == BetaKind.CD else num) / den
     if kind.clamped:
@@ -230,19 +222,29 @@ def beta_value(kind, g_k, g_prev, d_prev):
     return value
 
 
-def direction(g_k, beta, d_prev):
-    """Conjugate direction -g + beta * d_prev with a steepest-descent
-    fallback whenever the formula fails the sufficient-descent test (or
-    its norm runs away); returns (d, restarted)."""
-    g_k = np.asarray(g_k, dtype=float)
+def direction(kind, g, g_prev, d_prev):
+    """The CG direction at gradient g after the step along d_prev from
+    g_prev: (d, beta, restart).  The first step (d_prev None) is -g and no
+    restart.  After it the coupled -g + beta d_prev is taken unless a rule
+    restarts along -g with beta 0, tested in this order: "staleness"
+    (consecutive gradients nearly collinear), "underflow" (beta_value's
+    denominator negligible), "descent" (fails the sufficient-descent test)
+    and "norm cap" (d runs away from the gradient scale)."""
+    g = np.asarray(g, dtype=float)
     if d_prev is None:
-        return -g_k, False
-    d = -g_k + beta * np.asarray(d_prev, dtype=float)
-    gn2 = float(g_k @ g_k)
-    if (float(g_k @ d) > -SUFFICIENT_DESCENT * gn2
-            or float(d @ d) > (DIRECTION_NORM_CAP**2) * gn2):
-        return -g_k, True
-    return d, False
+        return -g, 0.0, None
+    gg = float(g @ g)
+    if not abs(float(g @ g_prev)) < STALENESS_RESTART * gg:
+        return -g, 0.0, "staleness"
+    beta = beta_value(kind, g, g_prev, d_prev)
+    if beta is None:
+        return -g, 0.0, "underflow"
+    d = -g + beta * np.asarray(d_prev, dtype=float)
+    if float(g @ d) > -SUFFICIENT_DESCENT * gg:
+        return -g, 0.0, "descent"
+    if float(d @ d) > DIRECTION_NORM_CAP**2 * gg:
+        return -g, 0.0, "norm cap"
+    return d, beta, None
 
 
 def armijo_wolfe_search(f, grad, x, d, g, params, f_x=None):
@@ -357,16 +359,8 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
             g_new = grad(x_new)
             increase_streak = increase_streak + 1 if f_new > f_x else 0
         else:
-            # -g (a restart after step 0) unless the coupled d passes each test
-            d, beta, restarted = -g, 0.0, d_prev is not None
-            if restarted and abs(float(g @ g_prev)) < STALENESS_RESTART * gn * gn:
-                try:
-                    beta = beta_value(kind, g, g_prev, d_prev)
-                    d, restarted = direction(g, beta, d_prev)
-                except DenominatorUnderflow:
-                    pass
-                if restarted:
-                    beta = 0.0
+            d, beta, restart = direction(kind, g, g_prev, d_prev)
+            restarted = restart is not None
             descent_inner = float(g @ d)
             cos_theta = -descent_inner / (gn * math.sqrt(d.dot(d)))
             try:

@@ -459,18 +459,23 @@ class TestExample2Runner:
     def test_single_trial_row_is_the_single_row(self, solver, target):
         # one trial's mean row is the run's own row, every count, alpha,
         # rho, target and step_param alike: only the experiment, the mean's
-        # stop_reason and the wall time differ
-        config = dataclasses.replace(self.CONFIG, trials=1, targets=(target,),
-                                     beta_kinds=("PRP",), solvers=(solver,))
-        [mean] = run_example2(config)
-        row, _ = run_single(dataclasses.replace(config, problem=f"mlp-{target}"))
-        assert (mean.experiment, mean.stop_reason) == (
-            "example2", "mean-over-trials")
-        assert (row.experiment, row.trials_completed) == ("single", 1)
-        assert rows_without_wall([dataclasses.replace(
-            mean, experiment="single", stop_reason=row.stop_reason)]) == (
-                rows_without_wall([row]))
-        assert (mean.alpha, mean.rho, mean.target) == (0.9, 0.1, target)
+        # stop_reason and the wall time differ.  With an alpha_grid, single
+        # is the sweep's first cell, at alpha_grid[0]
+        for alpha_grid in ((), (0.5, 0.9)):
+            config = dataclasses.replace(
+                self.CONFIG, trials=1, targets=(target,), beta_kinds=("PRP",),
+                solvers=(solver,), alpha_grid=alpha_grid)
+            mean = run_example2(config)[0]
+            row, _ = run_single(dataclasses.replace(config,
+                                                    problem=f"mlp-{target}"))
+            assert (mean.experiment, mean.stop_reason) == (
+                "example2", "mean-over-trials")
+            assert (row.experiment, row.trials_completed) == ("single", 1)
+            assert rows_without_wall([dataclasses.replace(
+                mean, experiment="single", stop_reason=row.stop_reason)]) == (
+                    rows_without_wall([row]))
+            assert (mean.alpha, mean.rho, mean.target) == (
+                (alpha_grid or (0.9,))[0], 0.1, target)
 
     def test_alpha_grid_sweep(self):
         config = dataclasses.replace(self.CONFIG, alpha_grid=(0.8, 0.9),
@@ -888,6 +893,22 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("config error: out: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("blocked, problem", [
+        ("results.csv", "example1"), ("trace_single.csv", "mlp-h1"),
+        ("trace_single.csv", "example1")])
+    def test_output_file_the_os_refuses(self, blocked, problem, tmp_path,
+                                        capsys):
+        # a directory where a trace or the results file goes: exit 2 and
+        # one config error line, not a traceback or an Error(...) row
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        argv = ["single", "--problem", problem, "--max-iter", "2",
+                "--out", str(out), "--config", str(self._tiny_cfg(tmp_path))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: out: [Errno {errno.EISDIR}] ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_invalid_config_makes_no_out(self, tmp_path, capsys):
         # the config is checked before the out directory is made

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from cfcg.cli import (ExperimentConfig, _example1_instance, _mlp_problem,
                       _tikhonov_problem)
 from cfcg.engine import (DIRECTION_NORM_CAP, STALENESS_RESTART,
-                         SUFFICIENT_DESCENT, BetaKind, DenominatorUnderflow,
-                         GridStep, LineSearchError, LineSearchParams,
-                         Objective, RunStatus, StopCriteria,
-                         armijo_wolfe_search, beta_value, cfcg_minimize,
-                         cfsd_minimize, direction, recheck_armijo_wolfe)
+                         SUFFICIENT_DESCENT, BetaKind, GridStep,
+                         LineSearchError, LineSearchParams, Objective,
+                         RunStatus, StopCriteria, armijo_wolfe_search,
+                         beta_value, cfcg_minimize, cfsd_minimize, direction,
+                         recheck_armijo_wolfe)
 from cfcg.fraccalc import (FracParams, QuadratureSpec, frac_gradient_general,
                            frac_gradient_quadratic)
 from cfcg.problems import (BENCHMARK_IDS, MlpSpec, mlp_init,
@@ -82,11 +82,10 @@ class TestBetaValue:
 
     def test_denominator_underflow(self):
         g_k = np.array([1.0, 0.0])
-        with pytest.raises(DenominatorUnderflow):
-            beta_value("FR", g_k, np.zeros(2), np.array([1.0, 0.0]))
-        with pytest.raises(DenominatorUnderflow):
-            # d_prev orthogonal to the gradient difference
-            beta_value("DY", g_k, np.array([1.0, 1e-15]), np.array([0.0, 1.0]))
+        assert beta_value("FR", g_k, np.zeros(2), np.array([1.0, 0.0])) is None
+        # d_prev orthogonal to the gradient difference
+        assert beta_value("DY", g_k, np.array([1.0, 1e-15]),
+                          np.array([0.0, 1.0])) is None
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -115,32 +114,45 @@ def test_beta_kinds_agree_after_exact_steepest_step(seed, n, scale, ratio):
 
 
 class TestDirection:
+    # g_prev orthogonal to g with |g_prev| = |g|: FR's beta is 1
+    G, G_PREV = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
     def test_first_iteration(self):
         g = np.array([3.0, -1.0])
-        d, restarted = direction(g, 0.0, None)
+        d, beta, restart = direction("FR", g, None, None)
         assert np.array_equal(d, -g)
-        assert restarted is False
+        assert (beta, restart) == (0.0, None)
 
     def test_hand_example(self):
-        g = np.array([1.0, 0.0])
-        d, restarted = direction(g, 1.0, np.array([-1.0, 0.0]))
+        d, beta, restart = direction("FR", self.G, self.G_PREV,
+                                     np.array([-1.0, 0.0]))
         assert np.allclose(d, [-2.0, 0.0])
-        assert restarted is False
-        assert g @ d <= -(g @ g)
+        assert (beta, restart) == (1.0, None)
+        assert self.G @ d <= -(self.G @ self.G)
+
+    def assert_restart(self, rule, kind, g_prev, d_prev):
+        d, beta, restart = direction(kind, self.G, np.array(g_prev),
+                                     np.array(d_prev))
+        assert restart == rule
+        assert np.array_equal(d, -self.G) and beta == 0.0
+
+    def test_staleness(self):
+        # consecutive gradients collinear, either sign; a nan product too
+        self.assert_restart("staleness", "FR", [2.0, 0.0], [-1.0, 0.0])
+        self.assert_restart("staleness", "PRP", [-1.0, 0.5], [-1.0, 0.0])
+        self.assert_restart("staleness", "FR", [math.nan, 1.0], [-1.0, 0.0])
+
+    def test_underflow(self):
+        # FR's denominator |g_prev|^2 is 0
+        self.assert_restart("underflow", "FR", [0.0, 0.0], [-1.0, 0.0])
 
     def test_ascent_fallback(self):
-        g = np.array([1.0, 0.0])
-        d, restarted = direction(g, 10.0, np.array([1.0, 0.0]))
-        assert np.allclose(d, [-1.0, 0.0])
-        assert restarted is True
+        # beta 1 along an ascent d_prev: g'd = 1 > 0
+        self.assert_restart("descent", "FR", self.G_PREV, [2.0, 0.0])
 
     def test_norm_cap_fallback(self):
-        g = np.array([1.0, 0.0])
         # descent but absurdly long relative to the gradient
-        d_prev = np.array([-1e9, 1e9])
-        d, restarted = direction(g, 1.0, d_prev)
-        assert restarted is True
-        assert np.allclose(d, -g)
+        self.assert_restart("norm cap", "FR", self.G_PREV, [-1e9, 1e9])
 
     def test_sufficient_descent_lemma_algebra(self):
         # when the new gradient sits in the window the curvature condition
@@ -400,9 +412,8 @@ def restart_cause(kind, g, g_prev, d_prev):
     gn = math.sqrt(g.dot(g))
     if abs(float(g @ g_prev)) >= STALENESS_RESTART * gn * gn:
         return "staleness"
-    try:
-        beta = beta_value(kind, g, g_prev, d_prev)
-    except DenominatorUnderflow:
+    beta = beta_value(kind, g, g_prev, d_prev)
+    if beta is None:
         return "underflow"
     d = -g + beta * d_prev
     gn2 = float(g @ g)
@@ -415,11 +426,13 @@ def restart_cause(kind, g, g_prev, d_prev):
 
 def restart_tally(report, kind):
     """The restarts of a kept-vector CFCG run, counted by rule; a row whose
-    restarted flag disagrees with restart_cause counts as "unexplained"."""
+    restarted flag disagrees with restart_cause counts as "unexplained".
+    direction must name the rule restart_cause names at every kept step."""
     tally = collections.Counter()
     for k in range(1, len(report.ds)):
-        cause = restart_cause(kind, report.gs[k], report.gs[k - 1],
-                              report.ds[k - 1])
+        step = (kind, report.gs[k], report.gs[k - 1], report.ds[k - 1])
+        cause = restart_cause(*step)
+        assert direction(*step)[2] == cause, k
         if report.trace[k].restarted != (cause is not None):
             tally["unexplained"] += 1
         elif cause is not None:
@@ -429,10 +442,10 @@ def restart_tally(report, kind):
 
 class TestRestartRules:
     """Every CFCG restart replays, from the kept g and d, as one of the
-    solver's rules: staleness (consecutive gradients nearly collinear), a
-    beta DenominatorUnderflow, or direction()'s fallback on a non-descent
-    or runaway coupled direction.  A row restarted by any other rule shows
-    as unexplained."""
+    rules direction() names: staleness (consecutive gradients nearly
+    collinear), a beta denominator underflow, or a non-descent or runaway
+    coupled direction.  A row restarted by any other rule shows as
+    unexplained."""
 
     def test_default_sweep(self):
         # the example1 default instance: 6 gammas x 5 kinds, 1426 steps
