@@ -1,4 +1,4 @@
-"""Rewrite the six golden files in this directory from the runs that the
+"""Rewrite the seven golden files in this directory from the runs that the
 tests compare them with.
 
     python tests/data/regen_golden.py

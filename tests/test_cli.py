@@ -319,6 +319,13 @@ MLP_TINY = dataclasses.replace(
     hidden_units=4, train_points=12, node_count=12, max_iter=30,
     beta_kinds=("FR",), write_traces=True)
 
+# the benchmark's mlp-single-wide call at its default seed: H=60, N=100 and
+# a fixed budget of 8 iterations
+MLP_WIDE = dataclasses.replace(
+    ExperimentConfig(), problem="mlp-h1", solvers=("CFCG",),
+    beta_kinds=("FR",), seed=42, hidden_units=60, train_points=100,
+    max_iter=8, grad_tol=1e-12, f_decrease_tol=1e-12, write_traces=True)
+
 # golden file -> (runner, config, trace file the run writes)
 GOLDEN_TRACES = {
     "golden_trace_example1_cfcg_fr.csv":
@@ -333,6 +340,8 @@ GOLDEN_TRACES = {
     "golden_trace_single_mlp_h2_cfsd.csv":
         (run_single, dataclasses.replace(MLP_TINY, solvers=("CFSD",)),
          "trace_single.csv"),
+    "golden_trace_single_mlp_h1_wide_cfcg_fr.csv":
+        (run_single, MLP_WIDE, "trace_single.csv"),
 }
 
 
