@@ -197,13 +197,15 @@ def mlp_objective(spec, target, data_seed):
     z = rng.uniform(-1.0, 1.0, spec.train_points)
     tv = benchmark_fn(target, z)
     H = spec.hidden_units
+    # every tanh argument t z + b is one product of the pair (t, b) with
+    # the columns of zb; b 1 is exact, so the product rounds as t z, then
+    # + b, as two elementwise passes would
+    zb = np.stack([z, np.ones(z.size)])
 
     def fn(p):
-        w, b1, v, b2 = p[:H], p[H:2 * H], p[2 * H:3 * H], p[3 * H]
-        a = z[:, None] * w
-        a += b1
-        res = np.tanh(a, out=a) @ v
-        res += b2
+        a = zb.T @ p[:2 * H].reshape(2, H)
+        res = np.tanh(a, out=a) @ p[2 * H:3 * H]
+        res += p[3 * H]
         res -= tv
         return float(np.add.reduce(np.square(res, out=res)) / z.size)
 
@@ -215,7 +217,8 @@ def mlp_objective(spec, target, data_seed):
         ts = np.reshape(np.asarray(ts, dtype=float), (p.size, -1))
         K = ts.shape[1]  # reshape raised ValueError for a fractional K
         w, b1, v, b2 = p[:H], p[H:2 * H], p[2 * H:3 * H], p[3 * H]
-        hid = np.tanh(np.outer(w, z) + b1[:, None])
+        hid = p[:2 * H].reshape(2, H).T @ zb
+        np.tanh(hid, out=hid)
         r = v @ hid + b2 - tv
         out = np.empty((2,) + ts.shape)
         # along v_j, or b2 as a unit fixed at one, f is the quadratic
@@ -236,12 +239,11 @@ def mlp_objective(spec, target, data_seed):
         vj = v[j, None]
         for block in range(2):
             t = ts[block * H:(block + 1) * H].reshape(-1, 1)
-            c1, c2 = (t, b1[j, None]) if block == 0 else (w[j, None], t)
+            coef = np.hstack((t, b1[j, None]) if block == 0 else (w[j, None], t))
             d = out[:, block * H:(block + 1) * H].reshape(2, -1)  # a view
             for m in range(0, j.size, width):
                 jm, rows = j[m:m + width], slice(m, m + width)
-                th = z * c1[rows]
-                th += c2[rows]
+                th = coef[rows] @ zb
                 np.tanh(th, out=th)
                 q = vj[rows] * th
                 res = u[jm]

@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfcg.cli import (ExperimentConfig, ResultRow, run_example1, run_example2,
-                      write_rows)
+from cfcg.cli import (EXAMPLE1_SD_RULE, ExperimentConfig, ResultRow,
+                      run_example1, run_example2, write_rows)
 from cfcg.engine import (LineSearchParams, Objective, RunStatus, StopCriteria,
-                         cfcg_minimize, recheck_armijo_wolfe)
+                         cfcg_minimize, cfsd_minimize, recheck_armijo_wolfe)
 from cfcg.fraccalc import (FracParams, QuadratureSpec, frac_gradient_general,
                            frac_gradient_quadratic)
 from cfcg.problems import (Example1Config, MlpSpec, benchmark_fn,
@@ -252,6 +252,63 @@ def test_criterion_07_linear_rate():
     verdict(len(tail) == 10 and max(tail) <= 0.99,
             "criterion 7 (linear rate)",
             f"max tail contraction ratio {max(tail):.4f} <= 0.99")
+
+
+class TestTextbookBaselines:
+    """The default example1 instance against textbook methods on the run
+    objective, the quadratic e' abar e / 2 with e = x - target: linear CG
+    with exact steps, and the spectral rate of CFSD at the paper's fixed
+    step (Nocedal & Wright 2006, ch. 3 and 5).  Criteria 2 and 7 stay as
+    the paper's own setting; these put its numbers next to a yardstick."""
+
+    CONFIG = dataclasses.replace(ExperimentConfig(), max_iter=100_000)
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        config = self.CONFIG
+        prob, x0, c = gen_example1(Example1Config(seed=config.seed,
+                                                  m=config.m, n=config.n))
+        return prob, x0, FracParams(config.alpha, config.rho, c)
+
+    def run_objective(self, instance, gamma):
+        prob, _, frac = instance
+        return tikhonov_run_objective(dataclasses.replace(prob, gamma=gamma),
+                                      frac)
+
+    def test_linear_cg_iterations(self, instance):
+        # exact steps from the sweep's x0 until ||abar e|| <= grad_tol, the
+        # solvers' own stopping test on the run gradient
+        x0, counts = instance[1], []
+        for gamma in self.CONFIG.gamma_grid:
+            _, target, abar = self.run_objective(instance, gamma)
+            g = abar @ (x0 - target)
+            d, k = -g, 0
+            while np.linalg.norm(g) > self.CONFIG.grad_tol:
+                ad = abar @ d
+                g_new = g + (g @ g) / (d @ ad) * ad
+                d = -g_new + (g_new @ g_new) / (g @ g) * d
+                g, k = g_new, k + 1
+            counts.append(k)
+        assert counts == [24, 20, 19, 15, 13, 12]
+
+    def test_cfsd_tail_contraction_meets_spectral_rate(self, instance):
+        # the median of the last 40 ratios sqrt(f_{k+1} / f_k) of an
+        # uncapped CFSD run at eta = 2e-4 stays at most 1 - eta lmin(abar)
+        # and within 1.5e-3 of it: "at least linear", as a number
+        _, x0, frac = instance
+        (eta,) = EXAMPLE1_SD_RULE.etas
+        gaps = []
+        for gamma in self.CONFIG.gamma_grid:
+            objective, target, abar = self.run_objective(instance, gamma)
+            report = cfsd_minimize(
+                objective, x0, frac, EXAMPLE1_SD_RULE,
+                stop=StopCriteria(self.CONFIG.grad_tol, self.CONFIG.max_iter))
+            assert report.status is RunStatus.CONVERGED
+            f = np.array([rec.f_value for rec in report.trace[-41:]])
+            observed = float(np.median(np.sqrt(f[1:] / f[:-1])))
+            predicted = 1.0 - eta * np.linalg.eigvalsh(abar)[0]
+            gaps.append(predicted - observed)
+        assert all(0.0 <= gap <= 1.5e-3 for gap in gaps), gaps
 
 
 def test_criterion_08_closed_form_oracle():

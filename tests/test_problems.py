@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,3 +385,25 @@ def test_line_evaluator_takes_whole_lines(seed, hidden, train, scale, K):
         w, b1, v, b2 = q[:H], q[H:2 * H], q[2 * H:3 * H], q[3 * H]
         want = np.mean((np.tanh(np.outer(z, w) + b1) @ v + b2 - tv) ** 2)
         assert obj.eval(q) == float(want)
+
+
+def test_line_evaluator_temporaries_stay_small():
+    # a warm call at the benchmark's network shape (H=60, N=100, K=8):
+    # eval_line builds its input-side rows LINE_CHUNK doubles at a time
+    # (unchunked, its rows would peak near 1.7 MiB), and fn needs no more
+    # than two (N x H) arrays
+    spec = MlpSpec(hidden_units=60, train_points=100, trials=1)
+    obj = mlp_objective(spec, "h1", data_seed=0)
+    p = mlp_init(spec, 1)
+    ts = np.repeat(p, 8) - np.tile(np.linspace(0.1, 1.0, 8), p.size)
+    for call, limit in ((lambda: obj.eval_line(p, ts), 768 * 1024),
+                        (lambda: obj.fn(p), 2 * 100 * 60 * 8)):
+        call()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, (call, peak)
