@@ -3,8 +3,7 @@
 from .engine import (BetaKind, GridStep, IterRecord, LineSearchError,
                      LineSearchParams, Objective, RunReport, RunStatus,
                      StopCriteria, armijo_wolfe_search, beta_value,
-                     cfcg_minimize, cfsd_minimize, direction,
-                     recheck_armijo_wolfe)
+                     cfcg_minimize, cfsd_minimize, direction)
 from .fraccalc import (FracParams, QuadratureSpec, frac_gradient_general,
                        frac_gradient_quadratic, gamma_coeff)
 from .problems import (Example1Config, MlpSpec, benchmark_fn, gen_example1,
@@ -26,6 +25,6 @@ __all__ = [
     "cfcg_minimize", "cfsd_minimize", "check_Abar_pd",
     "direction", "frac_gradient_general", "frac_gradient_quadratic",
     "gamma_coeff", "gen_example1", "mlp_init", "mlp_lower_terminal",
-    "mlp_objective", "recheck_armijo_wolfe", "regularized_matrix",
+    "mlp_objective", "regularized_matrix",
     "stacked_problem", "tikhonov_run_objective", "tikhonov_solution",
 ]

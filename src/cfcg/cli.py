@@ -186,8 +186,21 @@ def load_config(path):
 
 
 def save_config(config, path):
-    lines = [f"{f.name} = {_format_value(getattr(config, f.name))}"
-             for f in dataclasses.fields(config)]
+    """Write config as load_config reads it back, or raise ConfigError for
+    a str it would read back differently: one that holds "#" (a comment
+    mark) or a line break, or begins or ends in whitespace, and in a list
+    one that holds "," or is empty."""
+    lines = []
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        listed = isinstance(value, tuple)
+        for text in value if listed else (value,):
+            if isinstance(text, str) and (
+                    "#" in text or text != text.strip()
+                    or len(text.splitlines()) > 1
+                    or listed and ("," in text or not text)):
+                raise ConfigError(f"{f.name}: {text!r} would not read back")
+        lines.append(f"{f.name} = {_format_value(value)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "armijo_wolfe_search",
     "cfcg_minimize",
     "cfsd_minimize",
-    "recheck_armijo_wolfe",
 ]
 
 # sufficient-descent threshold r_d: accept d only if g'd <= -r_d ||g||^2
@@ -153,8 +152,13 @@ class IterRecord:
     beta: float
     descent_inner: float
     cos_theta: float
-    restarted: bool
+    # the restart rule direction() named at this step, or None
+    restart: str | None
     dist_to_reference: float | None = None
+
+    @property
+    def restarted(self):
+        return self.restart is not None
 
     @property
     def is_terminal(self):
@@ -172,11 +176,6 @@ class RunReport:
     final_x: np.ndarray
     final_grad_norm: float
     trace: list
-    # populated only when the solver is asked to keep per-iteration vectors
-    xs: list | None = None
-    gs: list | None = None
-    ds: list | None = None
-    steps: list | None = None
 
 
 @dataclass(frozen=True)
@@ -286,7 +285,7 @@ def _distance(x, reference):
     return math.sqrt(e.dot(e))
 
 
-def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
+def _minimize(f, x0, frac, kind, rule, stop, quad, reference, on_step):
     """The one iteration loop behind both solvers.
 
     kind is a BetaKind for conjugate directions, each step chosen by the
@@ -297,7 +296,11 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     increases ("divergence").  Every step evaluates the gradient once, at
     the accepted point.  A run whose f or gradient norm at the current
     point is not finite stops there with MaxIter and stop reason
-    "non-finite".
+    "non-finite".  on_step, if given, is called after each accepted step
+    as on_step(record, x, g, d): the point and gradient the record
+    describes and the direction taken from there (None for steepest
+    descent).  They are the loop's own arrays, not copies; x is read-only,
+    and a callback must not write to g or d either.
     """
     stop = stop or StopCriteria()
     hook = f.frac_gradient
@@ -319,13 +322,6 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
     g_prev = d_prev = None
     increase_streak = 0
     trace = []
-    # g, d and the steps are kept for recheck_armijo_wolfe, so only when a
-    # line search chose the steps
-    keep_search = keep_vectors and kind is not None
-    xs = [x.copy()] if keep_vectors else None
-    gs = [g.copy()] if keep_search else None
-    ds = [] if keep_search else None
-    steps = [] if keep_search else None
 
     status, reason, k = RunStatus.MAX_ITER, "max_iter", 0
     for k in range(stop.max_iter):
@@ -341,7 +337,8 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
 
         if kind is None:
             # d = -g, so each trial point is x - eta g, bit for bit x + eta d
-            restarted, beta, cos_theta = False, 0.0, 1.0
+            d = restart = None
+            beta, cos_theta = 0.0, 1.0
             descent_inner = -gn * gn
             eta = etas[0]
             x_new = x - eta * g
@@ -360,7 +357,6 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
             increase_streak = increase_streak + 1 if f_new > f_x else 0
         else:
             d, beta, restart = direction(kind, g, g_prev, d_prev)
-            restarted = restart is not None
             descent_inner = float(g @ d)
             cos_theta = -descent_inner / (gn * math.sqrt(d.dot(d)))
             try:
@@ -373,14 +369,11 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
             eta, x_new, f_new, g_new = res.eta, res.x_new, res.f_new, res.g_new
             g_prev, d_prev = g, d
 
-        trace.append(IterRecord(k, f_x, gn, eta, beta, descent_inner,
-                                cos_theta, restarted, _distance(x, reference)))
-        if keep_vectors:
-            xs.append(x_new.copy())
-        if keep_search:
-            gs.append(g_new.copy())
-            ds.append(d.copy())
-            steps.append(eta)
+        record = IterRecord(k, f_x, gn, eta, beta, descent_inner, cos_theta,
+                            restart, _distance(x, reference))
+        trace.append(record)
+        if on_step is not None:
+            on_step(record, x, g, d)
 
         decrease = f_x - f_new
         x, f_x, g = x_new, f_new, g_new
@@ -395,14 +388,13 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, keep_vectors):
 
     gn = math.sqrt(g.dot(g))
     trace.append(IterRecord(k, f_x, gn, math.nan, math.nan, math.nan,
-                            math.nan, False, _distance(x, reference)))
+                            math.nan, None, _distance(x, reference)))
     # the iterate is a read-only trial point; the caller gets its own copy
-    return RunReport(status, reason, k, evals, grads, x.copy(), gn, trace,
-                     xs, gs, ds, steps)
+    return RunReport(status, reason, k, evals, grads, x.copy(), gn, trace)
 
 
 def cfcg_minimize(f, x0, frac, kind, ls=None, stop=None, quad=None,
-                  reference=None, keep_vectors=False):
+                  reference=None, on_step=None):
     """Fractional conjugate-gradient minimization.
 
     f          : Objective (analytic gradient hook or quadrature path)
@@ -413,14 +405,14 @@ def cfcg_minimize(f, x0, frac, kind, ls=None, stop=None, quad=None,
     quad       : QuadratureSpec of the trapezoid rule, needed only by an
                  objective with neither hook (else ValueError)
     reference  : optional point whose distance is logged per iteration
-    keep_vectors : retain per-iteration x, g, d (for invariant replay)
+    on_step    : optional on_step(record, x, g, d) after each accepted step
     """
     return _minimize(f, x0, frac, BetaKind(kind), ls or LineSearchParams(),
-                     stop, quad, reference, keep_vectors)
+                     stop, quad, reference, on_step)
 
 
 def cfsd_minimize(f, x0, frac, step_rule, stop=None, quad=None,
-                  reference=None, keep_vectors=False):
+                  reference=None, on_step=None):
     """Fractional steepest descent: x <- x - eta * g, the beta = 0 case of
     the conjugate-gradient loop with a step rule in place of the search.
 
@@ -428,27 +420,9 @@ def cfsd_minimize(f, x0, frac, step_rule, stop=None, quad=None,
     lowest trial value kept, so a one-entry grid is a fixed step whose
     evaluations exceed iterations by exactly one.  DIVERGENCE_STREAK
     consecutive increases stop the run (MaxIter, "divergence").
-    keep_vectors retains x only, so recheck_armijo_wolfe refuses it.
-    quad is needed only by an objective with neither hook.
+    quad is needed only by an objective with neither hook; on_step is
+    cfcg_minimize's, with d None.
     """
     return _minimize(f, x0, frac, None, step_rule, stop, quad, reference,
-                     keep_vectors)
+                     on_step)
 
-
-def recheck_armijo_wolfe(report, f, grad, ls):
-    """Re-evaluate both accepted-step conditions along a kept-vector run.
-
-    Returns the smallest slack over all accepted steps (negative slack
-    means a violated condition).
-    """
-    if report.xs is None or report.ds is None:
-        raise ValueError("run kept no line-search steps "
-                         "(cfcg_minimize with keep_vectors=True)")
-    worst = math.inf
-    for x, g, d, eta in zip(report.xs, report.gs, report.ds, report.steps):
-        gd = float(g @ d)
-        x_new = x + eta * d
-        armijo = (f.eval(x) + ls.c1 * eta * gd) - f.eval(x_new)
-        wolfe = float(grad(x_new) @ d) - ls.c2 * gd
-        worst = min(worst, armijo, wolfe)
-    return worst

@@ -16,14 +16,17 @@ import pytest
 
 from cfcg.cli import (EXAMPLE1_SD_RULE, ExperimentConfig, ResultRow,
                       run_example1, run_example2, write_rows)
-from cfcg.engine import (LineSearchParams, Objective, RunStatus, StopCriteria,
-                         cfcg_minimize, cfsd_minimize, recheck_armijo_wolfe)
+from cfcg.engine import (BetaKind, LineSearchParams, Objective, RunStatus,
+                         StopCriteria, cfcg_minimize, cfsd_minimize)
 from cfcg.fraccalc import (FracParams, QuadratureSpec, frac_gradient_general,
                            frac_gradient_quadratic)
 from cfcg.problems import (Example1Config, MlpSpec, benchmark_fn,
                            gen_example1, mlp_init, mlp_lower_terminal,
-                           mlp_objective, tikhonov_run_objective)
-from cfcg.tikhonov import build_quadratic, tikhonov_solution
+                           mlp_objective, stacked_problem,
+                           tikhonov_run_objective)
+from cfcg.tikhonov import (abar_matrix, build_quadratic, solve_spd,
+                           tikhonov_solution)
+from replay import recheck_armijo_wolfe, run_with_steps
 
 ALL_KINDS = ("FR", "CD", "DY", "PRP", "HS")
 # digests of the default example1 sweep's outputs; see sweep_digests
@@ -66,8 +69,9 @@ def default_sweep_rows():
 
 
 @pytest.fixture(scope="module")
-def kept_vector_cells():
-    """Every CFCG cell of the default sweep, rerun with retained vectors."""
+def stepped_cells():
+    """Every CFCG cell of the default sweep, rerun with each accepted
+    step's record, x, g and d collected."""
     config = ExperimentConfig()
     e1 = Example1Config(seed=config.seed, m=config.m, n=config.n)
     prob0, x0, c = gen_example1(e1)
@@ -77,11 +81,12 @@ def kept_vector_cells():
         prob = dataclasses.replace(prob0, gamma=gamma)
         for kind in ALL_KINDS:
             objective, target, _ = tikhonov_run_objective(prob, frac)
-            report = cfcg_minimize(
-                objective, x0, frac, kind, ls=LineSearchParams(),
+            report, steps = run_with_steps(
+                cfcg_minimize, objective, x0, frac, kind,
+                ls=LineSearchParams(),
                 stop=StopCriteria(config.grad_tol, config.max_iter),
-                reference=target, keep_vectors=True)
-            cells[(gamma, kind)] = (report, objective)
+                reference=target)
+            cells[(gamma, kind)] = (report, steps, objective)
     return cells
 
 
@@ -181,25 +186,25 @@ def test_criterion_04_classical_limit():
             f"lifted-target rel {rel_a:.2e}, network rel {rel_b:.2e} <= 1e-4")
 
 
-def test_criterion_05_line_search_soundness(kept_vector_cells):
+def test_criterion_05_line_search_soundness(stepped_cells):
     ls = LineSearchParams()
     worst = math.inf
-    steps = 0
-    for (gamma, kind), (report, objective) in kept_vector_cells.items():
-        slack = recheck_armijo_wolfe(report, objective,
+    checked = 0
+    for (gamma, kind), (_, steps, objective) in stepped_cells.items():
+        slack = recheck_armijo_wolfe(steps, objective,
                                      objective.frac_gradient, ls)
         worst = min(worst, slack)
-        steps += len(report.ds)
+        checked += len(steps)
         if slack < -1e-12:
             verdict(False, "criterion 5 (line-search soundness)",
                     f"gamma={gamma} {kind}: slack {slack:.2e}")
     verdict(True, "criterion 5 (line-search soundness)",
-            f"{steps} accepted steps re-verified, worst slack {worst:.2e}")
+            f"{checked} accepted steps re-verified, worst slack {worst:.2e}")
 
 
-def test_criterion_06_descent_identities(kept_vector_cells):
+def test_criterion_06_descent_identities(stepped_cells):
     checked = 0
-    for (gamma, kind), (report, _) in kept_vector_cells.items():
+    for (gamma, kind), (report, steps, _) in stepped_cells.items():
         body = report.trace[:-1]
         if kind in ("PRP", "HS"):
             if any(rec.beta < 0.0 for rec in body):
@@ -207,16 +212,14 @@ def test_criterion_06_descent_identities(kept_vector_cells):
                         f"negative recorded beta in {kind} at gamma={gamma}")
         if kind != "FR":
             continue
-        for k in range(1, len(report.ds)):
-            if report.trace[k].restarted:
+        for (_, _, g_prev, d_prev), (rec, _, g, d) in zip(steps, steps[1:]):
+            if rec.restart is not None:
                 continue
-            g, g_prev = report.gs[k], report.gs[k - 1]
-            d, d_prev = report.ds[k], report.ds[k - 1]
             lhs = float(g @ d)
             rhs = -float(g @ g) * (1.0 - float(g @ d_prev) / float(g_prev @ g_prev))
             if not math.isclose(lhs, rhs, rel_tol=1e-10):
                 verdict(False, "criterion 6 (descent identities)",
-                        f"FR identity off at gamma={gamma} k={k}")
+                        f"FR identity off at gamma={gamma} k={rec.k}")
             checked += 1
     verdict(checked > 0, "criterion 6 (descent identities)",
             f"FR identity at {checked} non-restart iterations, "
@@ -243,10 +246,11 @@ def test_criterion_07_linear_rate():
     objective = Objective(fn, frac_gradient=lambda x:
                           frac_gradient_quadratic(A, b, x, frac))
     x0 = rng.uniform(1, 10, n)
-    report = cfcg_minimize(objective, x0, frac, "FR",
-                           stop=StopCriteria(1e-9, 3000), keep_vectors=True)
+    report, steps = run_with_steps(cfcg_minimize, objective, x0, frac, "FR",
+                                   stop=StopCriteria(1e-9, 3000))
     assert report.status is RunStatus.CONVERGED
-    errs = [np.linalg.norm(z - xstar) for z in report.xs]
+    xs = [x for _, x, _, _ in steps] + [report.final_x]
+    errs = [np.linalg.norm(z - xstar) for z in xs]
     ratios = [errs[i + 1] / errs[i] for i in range(len(errs) - 1)]
     tail = ratios[-10:]
     verdict(len(tail) == 10 and max(tail) <= 0.99,
@@ -309,6 +313,91 @@ class TestTextbookBaselines:
             predicted = 1.0 - eta * np.linalg.eigvalsh(abar)[0]
             gaps.append(predicted - observed)
         assert all(0.0 <= gap <= 1.5e-3 for gap in gaps), gaps
+
+
+class TestDataOnlyFixedPoint:
+    """What the method converges to on the default example1 instance when
+    no merit is centred on the closed-form target.  Its fixed point on the
+    stacked system is z = abar^-1 (X_aug y_aug + gamma_ar Rbar c), where
+    the fractional gradient abar x - X_aug y_aug - gamma_ar Rbar c
+    vanishes; the sweep's run merit is centred on tikhonov_solution
+    instead, through its linear term b_eff."""
+
+    CONFIG = ExperimentConfig()
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        """Per gamma: (stacked system, z, closed-form target)."""
+        config = self.CONFIG
+        prob0, x0, c = gen_example1(Example1Config(seed=config.seed,
+                                                   m=config.m, n=config.n))
+        frac = FracParams(config.alpha, config.rho, c)
+        cells = {}
+        for gamma in config.gamma_grid:
+            prob = dataclasses.replace(prob0, gamma=gamma)
+            stacked = stacked_problem(prob)
+            z = solve_spd(abar_matrix(stacked, frac),
+                          stacked.X @ stacked.y
+                          + frac.gamma * stacked.r_bar * frac.c)
+            cells[gamma] = (stacked, z, tikhonov_solution(prob))
+        return x0, frac, cells
+
+    def run_all(self, cells, merit):
+        """Every CFCG cell on merit(stacked, frac), with the fractional
+        gradient as its gradient: (gamma, kind, report, z) per cell."""
+        x0, frac, cells = cells
+        stop = StopCriteria(self.CONFIG.grad_tol, self.CONFIG.max_iter)
+        for gamma, (stacked, z, _) in cells.items():
+            objective = Objective(
+                merit(stacked, frac),
+                frac_gradient=lambda x, s=stacked: frac_gradient_quadratic(
+                    s.A, -(s.X @ s.y), x, frac))
+            for kind in BetaKind:
+                yield (gamma, kind, cfcg_minimize(objective, x0, frac, kind,
+                                                  stop=stop), z)
+
+    @staticmethod
+    def loss(stacked, frac):
+        """The plain stacked least-squares loss ||X_aug' x - y_aug||^2 / 2."""
+        def fn(x):
+            r = stacked.X.T @ x - stacked.y
+            return 0.5 * float(r @ r)
+        return fn
+
+    @classmethod
+    def merit(cls, stacked, frac):
+        """The loss plus gamma_ar (x - c)' Rbar (x - c) / 2: built from the
+        data alone, with the fractional gradient as its gradient."""
+        loss = cls.loss(stacked, frac)
+
+        def fn(x):
+            e = x - frac.c
+            return loss(x) + 0.5 * frac.gamma * float(e @ (stacked.r_bar * e))
+        return fn
+
+    def test_z_is_not_the_target(self, cells):
+        dists = [np.linalg.norm(z - target)
+                 for _, z, target in cells[2].values()]
+        assert [f"{d:.2e}" for d in dists] == [
+            "6.97e-03", "5.18e-03", "4.15e-03", "2.32e-03", "1.59e-03",
+            "1.18e-03"]
+
+    def test_data_only_merit_converges_to_z(self, cells):
+        # measured: at most 2.1e-6 from z
+        for gamma, kind, report, z in self.run_all(cells, self.merit):
+            assert report.status is RunStatus.CONVERGED, (gamma, kind)
+            assert np.linalg.norm(report.final_x - z) <= 1e-5, (gamma, kind)
+
+    def test_plain_loss_fails_every_search(self, cells):
+        # Armijo on the loss, directions and curvature on the fractional
+        # field: where the field's zero is not the loss's minimizer, the
+        # search fails near that zero
+        iterations = []
+        for gamma, kind, report, _ in self.run_all(cells, self.loss):
+            assert report.status is RunStatus.LINE_SEARCH_FAILURE, (gamma,
+                                                                    kind)
+            iterations.append(report.iterations)
+        assert (min(iterations), max(iterations)) == (16, 52)
 
 
 def test_criterion_08_closed_form_oracle():

@@ -24,6 +24,7 @@ from cfcg.engine import (IterRecord, LineSearchParams, RunStatus,
 from cfcg.fraccalc import FracParams
 from cfcg.problems import (BENCHMARK_IDS, Example1Config, gen_example1,
                            tikhonov_run_objective)
+from replay import recheck_armijo_wolfe, run_with_steps
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -106,6 +107,36 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("out", "runs#1"), ("out", "runs\n1"), ("out", "a\x1cb"),
+        ("out", " runs"), ("out", "runs\t"), ("targets", ("h1", "h2,h3")),
+        ("targets", ("h1", "")), ("targets", ("h1 ",)), ("beta_kinds", ("FR#",)),
+    ])
+    def test_save_refuses_what_would_read_back_differently(
+            self, tmp_path, field, value):
+        # out = runs#1 used to be written, and read back as "runs": "#"
+        # starts a comment anywhere on a line
+        path = tmp_path / "c.cfg"
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            save_config(dataclasses.replace(ExperimentConfig(),
+                                            **{field: value}), path)
+        assert not path.exists()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(out=st.text(st.characters(exclude_categories=("Cs",))),
+           targets=st.lists(st.text(st.characters(exclude_categories=("Cs",))),
+                            max_size=3).map(tuple))
+    def test_saved_text_reads_back_or_is_refused(self, tmp_path_factory, out,
+                                                 targets):
+        config = dataclasses.replace(ExperimentConfig(), out=out,
+                                     targets=targets)
+        path = tmp_path_factory.getbasetemp() / "any_text.cfg"
+        try:
+            save_config(config, path)
+        except ConfigError:
+            return
+        assert load_config(path) == config
+
 
 # a config string the file format can hold: no comment mark, no list
 # separator and no whitespace, which the reader strips
@@ -138,7 +169,7 @@ def test_config_round_trip(tmp_path_factory, config):
 
 def _terminal(k, dist=None):
     return IterRecord(k, 0.5, 0.25, math.nan, math.nan, math.nan, math.nan,
-                      False, dist)
+                      None, dist)
 
 
 def _fixed_step_trace(rows, step=lambda k: 0.125, beta=lambda k: 0.0,
@@ -146,7 +177,7 @@ def _fixed_step_trace(rows, step=lambda k: 0.125, beta=lambda k: 0.0,
     """rows records as a fixed-step run writes them, then a terminal row;
     step, beta and dist give each row's value from k."""
     return [IterRecord(k, 1.0 / (k + 1), 2.0 ** -k, step(k), beta(k),
-                       -1.0 / (k + 3), 1.0, False, dist(k))
+                       -1.0 / (k + 3), 1.0, None, dist(k))
             for k in range(rows)] + [_terminal(rows, 0.1)]
 
 
@@ -158,10 +189,10 @@ HAND_TRACES = {
     # subnormal, an int step, a restart and a missing distance
     "special-values": [
         IterRecord(0, math.nan, math.inf, 1, -0.0, -math.inf, 5e-324,
-                   True, None),
-        IterRecord(1, 0.1, 2.0 / 3.0, 0.5, 1e300, -1e-300, 0.0, False, 1.0),
+                   "staleness", None),
+        IterRecord(1, 0.1, 2.0 / 3.0, 0.5, 1e300, -1e-300, 0.0, None, 1.0),
         IterRecord(2, -0.0, 0.0, math.nan, math.nan, math.nan, math.nan,
-                   False, math.nan),
+                   None, math.nan),
     ],
     "one-object-above-terminal": _fixed_step_trace(6, step=lambda k: _STEP),
     # equal values, made one by one: distinct objects
@@ -287,8 +318,9 @@ class TestSerialization:
         # 1-300 rows: each column above the terminal row is one object, equal
         # copies, or drawn per row
         rnd = random.Random(seed)
-        draws = [_drawn_value] * 6 + [lambda r: r.random() < 0.5,
-                                      _drawn_distance]
+        draws = [_drawn_value] * 6 + [
+            lambda r: "staleness" if r.random() < 0.5 else None,
+            _drawn_distance]
         columns = [_drawn_column(rnd, mode, rows, draw)
                    for mode, draw in zip(modes, draws)]
         trace = [IterRecord(k, *fields)
@@ -526,18 +558,18 @@ class TestSingleRunner:
         assert float(recs[-1]["grad_norm"]) < config.grad_tol
 
     def test_trace_replay_through_invariant_checker(self):
-        from cfcg.engine import recheck_armijo_wolfe
         config = TINY
         e1 = Example1Config(seed=config.seed, m=config.m, n=config.n)
         prob, x0, c = gen_example1(e1)
         prob = dataclasses.replace(prob, gamma=config.gamma_grid[0])
         frac = FracParams(config.alpha, config.rho, c)
         objective, target, _ = tikhonov_run_objective(prob, frac)
-        report = cfcg_minimize(objective, x0, frac, config.beta_kinds[0],
-                               ls=LineSearchParams(),
-                               stop=StopCriteria(config.grad_tol, config.max_iter),
-                               reference=target, keep_vectors=True)
-        slack = recheck_armijo_wolfe(report, objective,
+        _, steps = run_with_steps(
+            cfcg_minimize, objective, x0, frac, config.beta_kinds[0],
+            ls=LineSearchParams(),
+            stop=StopCriteria(config.grad_tol, config.max_iter),
+            reference=target)
+        slack = recheck_armijo_wolfe(steps, objective,
                                      objective.frac_gradient,
                                      LineSearchParams())
         assert slack >= -1e-12

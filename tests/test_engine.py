@@ -12,12 +12,12 @@ from cfcg.engine import (DIRECTION_NORM_CAP, STALENESS_RESTART,
                          SUFFICIENT_DESCENT, BetaKind, GridStep,
                          LineSearchError, LineSearchParams, Objective,
                          RunStatus, StopCriteria, armijo_wolfe_search,
-                         beta_value, cfcg_minimize, cfsd_minimize, direction,
-                         recheck_armijo_wolfe)
+                         beta_value, cfcg_minimize, cfsd_minimize, direction)
 from cfcg.fraccalc import (FracParams, QuadratureSpec, frac_gradient_general,
                            frac_gradient_quadratic)
 from cfcg.problems import (BENCHMARK_IDS, MlpSpec, mlp_init,
                            mlp_lower_terminal, mlp_objective)
+from replay import recheck_armijo_wolfe, run_with_steps
 
 
 def quadratic_objective(A, b, frac, center=None):
@@ -293,8 +293,7 @@ class TestCfcg:
         A, rng = seeded_spd(4, 10)
         frac = FracParams(0.9, 0.1, np.zeros(10))
         obj, center, _ = quadratic_objective(A, rng.normal(size=10), frac)
-        rep = cfcg_minimize(obj, rng.uniform(1, 10, 10), frac, "PRP",
-                            keep_vectors=True)
+        rep = cfcg_minimize(obj, rng.uniform(1, 10, 10), frac, "PRP")
         assert rep.status is RunStatus.CONVERGED
         body = rep.trace[:-1]
         fs = [r.f_value for r in rep.trace]
@@ -310,14 +309,12 @@ class TestCfcg:
         A, rng = seeded_spd(5, 10)
         frac = FracParams(0.9, 0.1, np.zeros(10))
         obj, _, _ = quadratic_objective(A, rng.normal(size=10), frac)
-        rep = cfcg_minimize(obj, rng.uniform(1, 10, 10), frac, "FR",
-                            keep_vectors=True)
+        _, steps = run_with_steps(cfcg_minimize, obj, rng.uniform(1, 10, 10),
+                                  frac, "FR")
         checked = 0
-        for k in range(1, len(rep.ds)):
-            if rep.trace[k].restarted:
+        for (_, _, g_prev, d_prev), (rec, _, g, d) in zip(steps, steps[1:]):
+            if rec.restart is not None:
                 continue
-            g, g_prev = rep.gs[k], rep.gs[k - 1]
-            d, d_prev = rep.ds[k], rep.ds[k - 1]
             lhs = float(g @ d)
             rhs = -float(g @ g) * (1.0 - float(g @ d_prev) / float(g_prev @ g_prev))
             assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -329,9 +326,9 @@ class TestCfcg:
         frac = FracParams(0.9, 0.1, np.zeros(8))
         obj, _, _ = quadratic_objective(A, rng.normal(size=8), frac)
         ls = LineSearchParams()
-        rep = cfcg_minimize(obj, rng.uniform(1, 10, 8), frac, "HS", ls=ls,
-                            keep_vectors=True)
-        slack = recheck_armijo_wolfe(rep, obj, obj.frac_gradient, ls)
+        _, steps = run_with_steps(cfcg_minimize, obj, rng.uniform(1, 10, 8),
+                                  frac, "HS", ls=ls)
+        slack = recheck_armijo_wolfe(steps, obj, obj.frac_gradient, ls)
         assert slack >= -1e-12
 
     def test_f_decrease_stop(self):
@@ -424,16 +421,14 @@ def restart_cause(kind, g, g_prev, d_prev):
     return None
 
 
-def restart_tally(report, kind):
-    """The restarts of a kept-vector CFCG run, counted by rule; a row whose
-    restarted flag disagrees with restart_cause counts as "unexplained".
-    direction must name the rule restart_cause names at every kept step."""
+def restart_tally(steps, kind):
+    """The restarts among a CFCG run's collected steps (see
+    run_with_steps), counted by rule; a record whose restart differs from
+    restart_cause's replay counts as "unexplained"."""
     tally = collections.Counter()
-    for k in range(1, len(report.ds)):
-        step = (kind, report.gs[k], report.gs[k - 1], report.ds[k - 1])
-        cause = restart_cause(*step)
-        assert direction(*step)[2] == cause, k
-        if report.trace[k].restarted != (cause is not None):
+    for (_, _, g_prev, d_prev), (rec, _, g, _) in zip(steps, steps[1:]):
+        cause = restart_cause(kind, g, g_prev, d_prev)
+        if rec.restart != cause:
             tally["unexplained"] += 1
         elif cause is not None:
             tally[cause] += 1
@@ -441,7 +436,7 @@ def restart_tally(report, kind):
 
 
 class TestRestartRules:
-    """Every CFCG restart replays, from the kept g and d, as one of the
+    """Every CFCG restart replays, from each step's g and d, as one of the
     rules direction() names: staleness (consecutive gradients nearly
     collinear), a beta denominator underflow, or a non-descent or runaway
     coupled direction.  A row restarted by any other rule shows as
@@ -455,9 +450,9 @@ class TestRestartRules:
         for gamma in config.gamma_grid:
             problem = _tikhonov_problem(config, prob, x0, frac, gamma)
             for kind in BetaKind:
-                tally += restart_tally(cfcg_minimize(
-                    problem.objective, x0, frac, kind, stop=problem.stop,
-                    keep_vectors=True), kind)
+                _, steps = run_with_steps(cfcg_minimize, problem.objective,
+                                          x0, frac, kind, stop=problem.stop)
+                tally += restart_tally(steps, kind)
         assert tally == {"staleness": 743, "descent": 19}
 
     def test_networks(self):
@@ -467,9 +462,9 @@ class TestRestartRules:
         for target in BENCHMARK_IDS:
             for kind in BetaKind:
                 p = _mlp_problem(config, config.alpha, target, 0)
-                tally += restart_tally(cfcg_minimize(
-                    p.objective, p.x0, p.frac, kind, stop=p.stop,
-                    keep_vectors=True), kind)
+                _, steps = run_with_steps(cfcg_minimize, p.objective, p.x0,
+                                          p.frac, kind, stop=p.stop)
+                tally += restart_tally(steps, kind)
         assert tally == {"staleness": 214, "descent": 1}
 
     @pytest.mark.parametrize("kind", ["FR", "CD", "DY"])
@@ -485,8 +480,9 @@ class TestRestartRules:
         frac = FracParams(0.5, 1 / 3, np.zeros(2))
         assert frac.gamma == 0.0
         obj, _, _ = quadratic_objective(A, -A @ (1e6 * u), frac, 1e6 * u)
-        rep = cfcg_minimize(obj, np.zeros(2), frac, kind, keep_vectors=True)
-        tally = restart_tally(rep, kind)
+        rep, steps = run_with_steps(cfcg_minimize, obj, np.zeros(2), frac,
+                                    kind)
+        tally = restart_tally(steps, kind)
         assert tally["norm cap"] >= 1 and tally["unexplained"] == 0
         assert rep.status is RunStatus.LINE_SEARCH_FAILURE
 
@@ -545,15 +541,22 @@ class TestCfsd:
         assert rep.trace[0].step == step
         assert rep.stop_reason == reason
 
-    def test_kept_vectors_refuse_line_search_recheck(self):
-        # no line search chose the steps, so there is nothing to recheck
+    def test_on_step_gets_no_direction(self):
+        # each step's callback gets the point and gradient its record
+        # describes, and no direction: steepest descent builds no -g
         frac = classical_params(2)
         obj, _, _ = quadratic_objective(np.eye(2), np.zeros(2), frac)
-        rep = cfsd_minimize(obj, np.ones(2), frac, GridStep((0.1,)),
-                            stop=StopCriteria(1e-12, 3), keep_vectors=True)
-        assert len(rep.xs) == 4 and rep.gs is None and rep.ds is None
-        with pytest.raises(ValueError):
-            recheck_armijo_wolfe(rep, obj, obj.frac_gradient, LineSearchParams())
+        rep, steps = run_with_steps(cfsd_minimize, obj, np.ones(2), frac,
+                                    GridStep((0.1,)),
+                                    stop=StopCriteria(1e-12, 3))
+        assert len(steps) == rep.iterations == 3
+        for k, (rec, x, g, d) in enumerate(steps):
+            assert rec.k == k and d is None and not x.flags.writeable
+            assert rec.f_value == obj.eval(x)
+            assert rec.grad_norm == math.sqrt(g.dot(g))
+        xs = [x for _, x, _, _ in steps] + [rep.final_x]
+        assert all(np.array_equal(x_new, x - 0.1 * g)
+                   for x_new, (_, x, g, _) in zip(xs[1:], steps))
 
     def test_divergence_guard(self):
         # a hook pointing uphill makes every grid step increase f, for a
@@ -644,9 +647,9 @@ def test_non_finite_mid_run_stops_before_divergence_streak():
     assert rep.final_grad_norm == math.inf
 
 
-# every accepted step of a kept-vector CFCG run meets both line-search
-# conditions when replayed: the replay evaluates the same f and gradient at
-# the same points, so the slack is not negative, not even by rounding
+# every accepted step of a CFCG run meets both line-search conditions when
+# replayed: the replay evaluates the same f and gradient at the same points,
+# so the slack is not negative, not even by rounding
 
 
 @pytest.mark.parametrize("kind", list(BetaKind))
@@ -660,10 +663,10 @@ def test_accepted_steps_recheck_on_networks(kind, seed, hidden, alpha, rho):
     obj = mlp_objective(spec, BENCHMARK_IDS[seed % 3], data_seed=seed)
     frac = FracParams(alpha, rho, mlp_lower_terminal(spec))
     ls = LineSearchParams()
-    rep = cfcg_minimize(obj, mlp_init(spec, seed), frac, kind, ls=ls,
-                        stop=StopCriteria(1e-12, 6), keep_vectors=True)
+    _, steps = run_with_steps(cfcg_minimize, obj, mlp_init(spec, seed), frac,
+                              kind, ls=ls, stop=StopCriteria(1e-12, 6))
     slack = recheck_armijo_wolfe(
-        rep, obj, lambda x: frac_gradient_general(obj, x, frac, None), ls)
+        steps, obj, lambda x: frac_gradient_general(obj, x, frac, None), ls)
     assert slack >= 0.0
 
 
@@ -678,6 +681,6 @@ def test_accepted_steps_recheck_on_quadratics(kind, seed, n, cond, alpha, rho):
     obj, _, abar = quadratic_objective(A, rng.normal(size=n), frac)
     assume(np.linalg.eigvalsh(abar)[0] > 0.0)
     ls = LineSearchParams()
-    rep = cfcg_minimize(obj, rng.uniform(1.0, 10.0, n), frac, kind, ls=ls,
-                        stop=StopCriteria(1e-8, 200), keep_vectors=True)
-    assert recheck_armijo_wolfe(rep, obj, obj.frac_gradient, ls) >= 0.0
+    _, steps = run_with_steps(cfcg_minimize, obj, rng.uniform(1.0, 10.0, n),
+                              frac, kind, ls=ls, stop=StopCriteria(1e-8, 200))
+    assert recheck_armijo_wolfe(steps, obj, obj.frac_gradient, ls) >= 0.0
