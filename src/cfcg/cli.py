@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import operator
+import re
 import sys
 import time
 import typing
@@ -148,10 +149,8 @@ def _parse_value(text, kind):
 
 def _format_value(value):
     if isinstance(value, tuple):
-        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        return ",".join(map(_format_value, value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 class ConfigError(ValueError):
@@ -209,9 +208,7 @@ def save_config(config, path):
 
 
 def _fmt(x):
-    if isinstance(x, float):
-        return "%.17g" % x
-    return str(x)
+    return "%.17g" % x if isinstance(x, float) else str(x)
 
 
 def write_rows(rows, path, fmt):
@@ -460,6 +457,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("example1", "example2", "single"):
         p = sub.add_parser(name, allow_abbrev=False)
+        # Python 3.11 reads -1 and -.1 as numbers, but -1e-3 as a flag
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--config", help="flat key=value config file")
         for flag, field in _FLAGS.items():
             if name == "single" or flag not in ("problem", "solver"):

@@ -15,8 +15,8 @@ import numpy as np
 
 from .engine import Objective
 from .fraccalc import frac_gradient_quadratic
-from .tikhonov import (abar_matrix, build_quadratic, check_Abar_pd,
-                       tikhonov_solution)
+from .tikhonov import (LeastSquaresProblem, abar_matrix, build_quadratic,
+                       check_Abar_pd, regularized_matrix, tikhonov_solution)
 
 __all__ = [
     "Example1Config",
@@ -85,13 +85,15 @@ def stacked_problem(prob):
     """The regularized problem written as a plain least-squares system.
 
     Stacking sqrt(gamma) Rbar' under X' absorbs the penalty term, so the
-    stacked system's ordinary solution is exactly the closed-form
-    regularized solution of the original problem.
+    stacked system solves the closed-form regularized problem; its matrix
+    is regularized_matrix(prob), X_aug X_aug' in exact arithmetic.
     """
     scaled = math.sqrt(prob.gamma) * prob.r_bar
     X_aug = np.hstack([prob.X, np.diag(scaled)])
     y_aug = np.concatenate([prob.y, scaled * prob.x_bar])
-    return build_quadratic(X_aug, y_aug, x_bar=prob.x_bar)
+    A = regularized_matrix(prob)
+    return LeastSquaresProblem(X=X_aug, y=y_aug, A=A, r_bar=np.sqrt(np.diag(A)),
+                               gamma=0.0, x_bar=prob.x_bar)
 
 
 def tikhonov_run_objective(prob, frac):

@@ -58,7 +58,7 @@ class LeastSquaresProblem:
 
 
 def build_quadratic(X, y, gamma=0.0, x_bar=None):
-    """Assemble a LeastSquaresProblem with A = XX'."""
+    """Assemble a LeastSquaresProblem with A = XX' (a BLAS-free einsum)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.size == 0:
@@ -68,7 +68,7 @@ def build_quadratic(X, y, gamma=0.0, x_bar=None):
         raise ValueError(f"y has shape {y.shape}, expected ({m},)")
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
-    A = X @ X.T
+    A = np.einsum("ik,jk->ij", X, X)
     x_bar = np.zeros(n) if x_bar is None else np.asarray(x_bar, dtype=float)
     if x_bar.shape != (n,):
         raise ValueError(f"x_bar has shape {x_bar.shape}, expected ({n},)")

@@ -410,6 +410,13 @@ class TestExample1Runner:
         assert report.objective_evals == target_row.objective_evals
         assert report.final_grad_norm == target_row.final_grad_norm
 
+    def test_f_decrease_tol_is_not_read(self):
+        # example1 stops on grad_tol and max_iter alone, as the README says;
+        # the key is the network runs'
+        rows = run_example1(dataclasses.replace(TINY, f_decrease_tol=1e300))
+        assert rows_without_wall(rows) == rows_without_wall(run_example1(TINY))
+        assert min(row.iterations for row in rows) > 1
+
     def test_trace_files_written(self, tmp_path):
         config = dataclasses.replace(TINY, write_traces=True)
         run_example1(config, tmp_path)
@@ -639,6 +646,27 @@ class TestMainEntry:
         payload = json.loads((out / "results.json").read_text())
         assert all(row["seed"] == 11 for row in payload)
         assert all(row["gamma"] == 1.0 for row in payload)
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.5e-2", "-0.001"])
+    def test_negative_flag_value_with_an_exponent(self, value, tmp_path):
+        # Python 3.11's argparse reads only -1 and -.1 as numbers and took
+        # -1e-3 for an unknown flag; each subparser's private
+        # _negative_number_matcher, which this pins, reads it as a value
+        out = tmp_path / "o"
+        code = main(["single", "--problem", "example1", "--rho", value,
+                     "--max-iter", "1", "--out", str(out),
+                     "--config", str(self._tiny_cfg(tmp_path))])
+        assert code in (0, 1)
+        row = read_csv_rows(out / "results.csv")[0]
+        assert float(row["rho"]) == float(value)
+
+    def test_negative_gamma_with_an_exponent(self, tmp_path, capsys):
+        # the value reaches the gamma rule, not argparse
+        assert main(["example1", "--gamma", "-1e-3",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: gamma must be nonnegative and finite, got -0.001\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["example1", "--beta", "XX"], id="beta-XX"),

@@ -13,7 +13,7 @@ from cfcg.problems import (BENCHMARK_IDS, LINE_CHUNK,
                            gen_example1, mlp_init, mlp_lower_terminal,
                            mlp_objective, mlp_param_bounds, stacked_problem,
                            tikhonov_run_objective)
-from cfcg.tikhonov import tikhonov_solution
+from cfcg.tikhonov import regularized_matrix, tikhonov_solution
 
 
 def mlp_dataset(spec, data_seed):
@@ -54,9 +54,11 @@ class TestExample1Generator:
         assert not np.array_equal(a_prob.X, b_prob.X)
 
     def test_matrix_is_symmetric_psd(self):
-        prob, _, _ = gen_example1(Example1Config(seed=1, m=25, n=25))
-        assert np.linalg.norm(prob.A - prob.A.T) == 0.0
-        assert np.linalg.eigvalsh(prob.A)[0] >= -1e-10
+        # m may differ from n: X is n x m, A is n x n of rank min(m, n)
+        for m, n in ((25, 25), (12, 30), (30, 12)):
+            prob, _, _ = gen_example1(Example1Config(seed=1, m=m, n=n))
+            assert np.linalg.norm(prob.A - prob.A.T) == 0.0
+            assert np.linalg.eigvalsh(prob.A)[0] >= -1e-10
 
     def test_default_dimensions_and_ranges(self):
         config = Example1Config()
@@ -80,6 +82,18 @@ class TestStackedProblem:
         assert stacked.gamma == 0.0
         assert np.allclose(tikhonov_solution(stacked), tikhonov_solution(prob),
                            atol=1e-9)
+
+    def test_matrix_is_the_regularized_matrix(self):
+        # the stacked system takes the closed form's matrix itself, which
+        # is X_aug X_aug' in exact arithmetic, so one instance makes one
+        # Gram product and the iteration matrix and the target share it
+        prob, _, _ = gen_example1(Example1Config(seed=3, m=12, n=30))
+        prob = dataclasses.replace(prob, gamma=2.0)
+        stacked = stacked_problem(prob)
+        assert np.array_equal(stacked.A, regularized_matrix(prob))
+        assert np.array_equal(stacked.r_bar, np.sqrt(np.diag(stacked.A)))
+        assert np.allclose(stacked.X @ stacked.X.T, stacked.A,
+                           rtol=1e-14, atol=1e-13)
 
     def test_run_objective_vanishes_at_target(self):
         objective, target, abar = run_objective()

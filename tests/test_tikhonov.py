@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,6 +60,25 @@ class TestBuildQuadratic:
             build_quadratic(np.eye(3), np.ones(2))
         with pytest.raises(ValueError):
             build_quadratic(np.eye(2), np.ones(2), gamma=-1.0)
+
+    def test_same_bytes_on_one_and_two_blas_threads(self):
+        # X X' through dgemm or dsyrk rounds differently on one BLAS thread
+        # than on two; A's bytes must not depend on the thread count.  A
+        # 100 x 200 X is the stacked system's shape on the default instance
+        code = ("import hashlib, numpy as np\n"
+                "from cfcg.tikhonov import build_quadratic\n"
+                "X = np.random.default_rng(0).uniform(-1, 1, (100, 200))\n"
+                "A = build_quadratic(X, np.zeros(200)).A\n"
+                "print(hashlib.sha256(A.tobytes()).hexdigest())\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        digests = [subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, timeout=120,
+            env=dict(env, OPENBLAS_NUM_THREADS=threads)).stdout
+                   for threads in ("1", "2")]
+        assert digests[0] == digests[1] != ""
 
 
 class TestTikhonovSolution:
