@@ -42,7 +42,6 @@ __all__ = [
     "ExperimentConfig",
     "ResultRow",
     "load_config",
-    "save_config",
     "run_example1",
     "run_example2",
     "run_single",
@@ -147,12 +146,6 @@ def _parse_value(text, kind):
     return text
 
 
-def _format_value(value):
-    if isinstance(value, tuple):
-        return ",".join(map(_format_value, value))
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 class ConfigError(ValueError):
     pass
 
@@ -182,25 +175,6 @@ def load_config(path):
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: field {key!r}: {exc}") from exc
     return ExperimentConfig(**values)
-
-
-def save_config(config, path):
-    """Write config as load_config reads it back, or raise ConfigError for
-    a str it would read back differently: one that holds "#" (a comment
-    mark) or a line break, or begins or ends in whitespace, and in a list
-    one that holds "," or is empty."""
-    lines = []
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        listed = isinstance(value, tuple)
-        for text in value if listed else (value,):
-            if isinstance(text, str) and (
-                    "#" in text or text != text.strip()
-                    or len(text.splitlines()) > 1
-                    or listed and ("," in text or not text)):
-                raise ConfigError(f"{f.name}: {text!r} would not read back")
-        lines.append(f"{f.name} = {_format_value(value)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +485,7 @@ def _check_config(config):
             key = f"{value:g}" if isinstance(value, float) else value
             if key in seen:
                 raise ConfigError(f"repeated entries in {name}: "
-                                  + _format_value((seen[key], value)))
+                                  + ",".join(map(str, (seen[key], value))))
             seen[key] = value
     if config.m < 1 or config.n < 1:
         raise ConfigError(f"m and n must be positive, got m={config.m}, "
@@ -520,7 +494,7 @@ def _check_config(config):
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
     if not all(0.0 <= g < math.inf for g in config.gamma_grid):
         raise ConfigError("gamma must be nonnegative and finite, got "
-                          + _format_value(config.gamma_grid))
+                          + ",".join(map(str, config.gamma_grid)))
     try:
         QuadratureSpec(config.node_count)
         StopCriteria(config.grad_tol, config.max_iter, config.f_decrease_tol)

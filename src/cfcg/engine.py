@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fraccalc import frac_gradient_general
+from .fraccalc import _index, frac_gradient_general
 
 __all__ = [
     "BetaKind",
@@ -83,7 +83,7 @@ class LineSearchParams:
             raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
         if not 0.0 < self.r < 1.0:
             raise ValueError(f"backtracking ratio must be in (0,1), got {self.r}")
-        if self.max_trials < 1:
+        if _index(self.max_trials, "max_trials") < 1:
             raise ValueError("max_trials must be positive")
 
 
@@ -98,7 +98,7 @@ class StopCriteria:
     def __post_init__(self):
         if not self.grad_tol > 0.0:  # nan too
             raise ValueError("grad_tol must be positive")
-        if self.max_iter < 1:
+        if _index(self.max_iter, "max_iter") < 1:
             raise ValueError("max_iter must be positive")
         if self.f_decrease_tol is not None and math.isnan(self.f_decrease_tol):
             raise ValueError("f_decrease_tol must not be nan")
@@ -159,10 +159,6 @@ class IterRecord:
     @property
     def restarted(self):
         return self.restart is not None
-
-    @property
-    def is_terminal(self):
-        return math.isnan(self.step)
 
 
 @dataclass
@@ -246,23 +242,21 @@ def direction(kind, g, g_prev, d_prev):
     return d, beta, None
 
 
-def armijo_wolfe_search(f, grad, x, d, g, params, f_x=None):
+def armijo_wolfe_search(f, grad, x, d, g, params, f_x):
     """First step in {1, r, r^2, ...} meeting both line-search conditions.
 
-    Sufficient decrease is checked on the objective, curvature on the
-    fractional gradient at the trial point.  The gradient is evaluated
-    only for candidates that already pass the decrease test, and the
-    accepted candidate's f and gradient ride along in the result so the
-    caller never re-evaluates them.  Trial points are read-only (see
-    Objective).
+    Sufficient decrease is checked on the objective against f_x, the
+    caller's f at x, curvature on the fractional gradient at the trial
+    point.  The gradient is evaluated only for candidates that already
+    pass the decrease test, and the accepted candidate's f and gradient
+    ride along in the result so the caller never re-evaluates them.
+    Trial points are read-only (see Objective).
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
     gd = float(g @ d)
     if gd >= 0.0:
         raise ValueError(f"not a descent direction: g'd = {gd:.3e} >= 0")
-    if f_x is None:
-        f_x = f.eval(x)
     eta = 1.0
     for j in range(params.max_trials):
         x_new = x + eta * d

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,14 @@ FD_STEP = 1e-5
 #: nodes of the Gauss-Jacobi rule on objectives with an ``eval_line`` hook;
 #: exact for f' + rho (x_i - c_i) f'' of degree 2 * JACOBI_NODES - 1
 JACOBI_NODES = 8
+
+
+def _index(value, name):
+    """operator.index(value), or a ValueError that names the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_alpha(alpha):
@@ -76,7 +85,7 @@ class QuadratureSpec:
     node_count: int = 256
 
     def __post_init__(self):
-        if self.node_count < 2:
+        if _index(self.node_count, "node_count") < 2:
             raise ValueError("node_count must be >= 2")
 
 

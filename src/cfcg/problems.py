@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Objective
-from .fraccalc import frac_gradient_quadratic
+from .fraccalc import _index, frac_gradient_quadratic
 from .tikhonov import (LeastSquaresProblem, abar_matrix, build_quadratic,
                        check_Abar_pd, regularized_matrix, tikhonov_solution)
 
@@ -55,12 +55,9 @@ class MlpSpec:
     trials: int = 5
 
     def __post_init__(self):
-        if self.hidden_units < 1 or self.train_points < 1 or self.trials < 1:
-            raise ValueError("hidden_units, train_points, trials must be positive")
-
-    @property
-    def param_dim(self):
-        return 3 * self.hidden_units + 1
+        for name in ("hidden_units", "train_points", "trials"):
+            if _index(getattr(self, name), name) < 1:
+                raise ValueError("hidden_units, train_points, trials must be positive")
 
 
 def gen_example1(config):

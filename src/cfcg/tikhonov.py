@@ -31,7 +31,7 @@ RCOND_FLOOR = 1e-14
 
 
 class SingularSystemError(np.linalg.LinAlgError):
-    """The regularized system is numerically singular."""
+    """The regularized system is not (numerically) positive definite."""
 
 
 @dataclass
@@ -66,8 +66,8 @@ def build_quadratic(X, y, gamma=0.0, x_bar=None):
     n, m = X.shape
     if y.shape != (m,):
         raise ValueError(f"y has shape {y.shape}, expected ({m},)")
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0.0 <= gamma < np.inf:  # nan too
+        raise ValueError("gamma must be nonnegative and finite")
     A = np.einsum("ik,jk->ij", X, X)
     x_bar = np.zeros(n) if x_bar is None else np.asarray(x_bar, dtype=float)
     if x_bar.shape != (n,):
@@ -87,10 +87,10 @@ def abar_matrix(prob, frac):
 
 
 def solve_spd(M, rhs):
-    """Cholesky solve with a symmetric-indefinite fallback.
+    """Cholesky solve of a symmetric positive definite system.
 
-    Refuses matrices whose reciprocal condition estimate is below
-    RCOND_FLOOR.
+    Refuses, with SingularSystemError, a matrix whose reciprocal condition
+    estimate is below RCOND_FLOOR or that is not positive definite.
     """
     M = np.asarray(M, dtype=float)
     eigs = np.linalg.eigvalsh(M)
@@ -101,10 +101,9 @@ def solve_spd(M, rhs):
         )
     try:
         L = np.linalg.cholesky(M)
-        z = np.linalg.solve(L, rhs)
-        return np.linalg.solve(L.T, z)
     except np.linalg.LinAlgError:
-        return np.linalg.solve(M, rhs)
+        raise SingularSystemError("not positive definite") from None
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
 
 
 def tikhonov_solution(prob):

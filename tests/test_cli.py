@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from cfcg.cli import (EXAMPLE1_SD_RULE, MLP_SD_RULE, ConfigError,
                       ExperimentConfig, ResultRow, load_config, main,
-                      run_example1, run_example2, run_single, save_config,
-                      write_rows, write_trace_csv, TRACE_COLUMNS,
+                      run_example1, run_example2, run_single, write_rows,
+                      write_trace_csv, TRACE_COLUMNS,
                       _example1_instance, _fmt, _run_cell, _tikhonov_problem)
 from cfcg.engine import (IterRecord, LineSearchParams, RunStatus,
                          StopCriteria, cfcg_minimize)
@@ -44,6 +44,18 @@ def read_csv_rows(path):
         return list(csv.DictReader(fh))
 
 
+def write_config(config, path):
+    """config as the key = value file load_config reads, a list
+    comma-joined.  It reads back as config only for values that hold no
+    "#", no line break, no surrounding whitespace and, in a list, no ","
+    and no empty entry; the configs written here hold none."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for name, value in vars(config).items():
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            fh.write(f"{name} = {value}\n")
+
+
 def rows_without_wall(rows):
     out = []
     for r in rows:
@@ -66,7 +78,7 @@ class TestConfigFile:
             gamma_grid=(0.25, 1.5), alpha=0.75, trials=2, write_traces=False,
             format="json", alpha_grid=(0.5, 0.25))
         path = tmp_path / "bench.cfg"
-        save_config(config, path)
+        write_config(config, path)
         assert load_config(path) == config
 
     def test_comments_and_blanks_ignored(self, tmp_path):
@@ -107,36 +119,6 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    @pytest.mark.parametrize("field, value", [
-        ("out", "runs#1"), ("out", "runs\n1"), ("out", "a\x1cb"),
-        ("out", " runs"), ("out", "runs\t"), ("targets", ("h1", "h2,h3")),
-        ("targets", ("h1", "")), ("targets", ("h1 ",)), ("beta_kinds", ("FR#",)),
-    ])
-    def test_save_refuses_what_would_read_back_differently(
-            self, tmp_path, field, value):
-        # out = runs#1 used to be written, and read back as "runs": "#"
-        # starts a comment anywhere on a line
-        path = tmp_path / "c.cfg"
-        with pytest.raises(ConfigError, match=f"^{field}: "):
-            save_config(dataclasses.replace(ExperimentConfig(),
-                                            **{field: value}), path)
-        assert not path.exists()
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(out=st.text(st.characters(exclude_categories=("Cs",))),
-           targets=st.lists(st.text(st.characters(exclude_categories=("Cs",))),
-                            max_size=3).map(tuple))
-    def test_saved_text_reads_back_or_is_refused(self, tmp_path_factory, out,
-                                                 targets):
-        config = dataclasses.replace(ExperimentConfig(), out=out,
-                                     targets=targets)
-        path = tmp_path_factory.getbasetemp() / "any_text.cfg"
-        try:
-            save_config(config, path)
-        except ConfigError:
-            return
-        assert load_config(path) == config
-
 
 # a config string the file format can hold: no comment mark, no list
 # separator and no whitespace, which the reader strips
@@ -163,7 +145,7 @@ def _field_values(name, kind):
     for name, kind in typing.get_type_hints(ExperimentConfig).items()}))
 def test_config_round_trip(tmp_path_factory, config):
     path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
-    save_config(config, path)
+    write_config(config, path)
     assert load_config(path) == config
 
 
@@ -1031,5 +1013,5 @@ class TestMainEntry:
     @staticmethod
     def _tiny_cfg(tmp_path):
         path = tmp_path / "tiny.cfg"
-        save_config(dataclasses.replace(TINY, write_traces=True), path)
+        write_config(dataclasses.replace(TINY, write_traces=True), path)
         return path

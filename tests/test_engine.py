@@ -183,7 +183,8 @@ class TestLineSearch:
         g = np.array([1.0])
         d = np.array([-1.0])
         grad = lambda z: np.asarray(obj.frac_gradient(z))
-        res = armijo_wolfe_search(obj, grad, x, d, g, LineSearchParams())
+        res = armijo_wolfe_search(obj, grad, x, d, g, LineSearchParams(),
+                                  obj.eval(x))
         assert res.eta == 1.0
         assert res.trials == 1
 
@@ -193,7 +194,7 @@ class TestLineSearch:
         with pytest.raises(ValueError):
             armijo_wolfe_search(obj, lambda z: z, np.array([1.0]),
                                 np.array([1.0]), np.array([1.0]),
-                                LineSearchParams())
+                                LineSearchParams(), 0.5)
 
     def test_backtracks_on_quartic(self):
         calls = {"n": 0}
@@ -242,6 +243,21 @@ class TestLineSearch:
             StopCriteria(grad_tol=0.0)
 
 
+@pytest.mark.parametrize("cls, field", [
+    (QuadratureSpec, "node_count"), (StopCriteria, "max_iter"),
+    (LineSearchParams, "max_trials"), (MlpSpec, "hidden_units"),
+    (MlpSpec, "train_points"), (MlpSpec, "trials")])
+def test_integer_settings_refuse_non_integers(cls, field):
+    # 2.5 was accepted once, and failed only later: the trapezoid rule gave
+    # nan, the loops and np.ones a TypeError; numpy integers stay accepted
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be an integer, got 2.5$"):
+        cls(**{field: 2.5})
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        cls(**{field: "4"})
+    assert getattr(cls(**{field: np.int64(4)}), field) == 4
+
+
 def seeded_spd(seed, n, cond=30.0):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -275,7 +291,7 @@ class TestCfcg:
         assert rep.iterations == 0
         assert rep.objective_evals == 1     # just the initial value
         assert rep.gradient_evals == 1      # just the initial gradient
-        assert len(rep.trace) == 1 and rep.trace[0].is_terminal
+        assert len(rep.trace) == 1 and math.isnan(rep.trace[0].step)
 
     @pytest.mark.parametrize("kind", list(BetaKind))
     def test_classical_quadratic_minimizer(self, kind):
@@ -600,7 +616,7 @@ def test_non_finite_start_stops_at_once(solve):
     assert rep.iterations == 0
     assert rep.objective_evals == 1
     assert rep.gradient_evals == 1
-    assert len(rep.trace) == 1 and rep.trace[0].is_terminal
+    assert len(rep.trace) == 1 and math.isnan(rep.trace[0].step)
 
 
 @pytest.mark.parametrize("solve", [

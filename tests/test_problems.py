@@ -204,7 +204,8 @@ class TestMlpObjective:
     SPEC = MlpSpec(hidden_units=6, train_points=20, trials=1)
 
     def test_param_dim(self):
-        assert self.SPEC.param_dim == 19
+        # w, b1 and v of 6 hidden units, and b2
+        assert mlp_init(self.SPEC, 0).shape == (19,)
         obj = mlp_objective(self.SPEC, "h2", data_seed=0)
         assert obj.eval(np.zeros(19)) >= 0.0
 
@@ -326,7 +327,7 @@ def test_line_evaluator_property(seed, hidden, train):
     spec = MlpSpec(hidden_units=hidden, train_points=train, trials=1)
     obj = mlp_objective(spec, BENCHMARK_IDS[seed % 3], data_seed=seed)
     rng = np.random.default_rng(seed)
-    p = rng.uniform(-2.0, 2.0, spec.param_dim)
+    p = rng.uniform(-2.0, 2.0, 3 * spec.hidden_units + 1)
     width = LINE_CHUNK // train
     K = int(rng.integers(width // hidden + 1, 3 * width // hidden))
     assert width < hidden * K < 3 * width
@@ -376,7 +377,7 @@ def test_line_evaluator_takes_whole_lines(seed, hidden, train, scale, K):
     target = BENCHMARK_IDS[seed % 3]
     obj = mlp_objective(spec, target, data_seed=seed)
     rng = np.random.default_rng(seed)
-    p = rng.uniform(-scale, scale, spec.param_dim)
+    p = rng.uniform(-scale, scale, 3 * spec.hidden_units + 1)
     ts = rng.uniform(-scale, scale, (p.size, K))
     out = obj.eval_line(p, ts.ravel())
     assert out.shape == (2, ts.size)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -58,8 +59,12 @@ class TestBuildQuadratic:
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
             build_quadratic(np.eye(3), np.ones(2))
-        with pytest.raises(ValueError):
-            build_quadratic(np.eye(2), np.ones(2), gamma=-1.0)
+        # nan and inf were accepted once: tikhonov_solution then failed
+        # with "Eigenvalues did not converge" after a RuntimeWarning
+        for gamma in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError,
+                               match="^gamma must be nonnegative and finite$"):
+                build_quadratic(np.eye(2), np.ones(2), gamma=gamma)
 
     def test_same_bytes_on_one_and_two_blas_threads(self):
         # X X' through dgemm or dsyrk rounds differently on one BLAS thread
@@ -126,10 +131,16 @@ class TestTikhonovSolution:
             tikhonov_solution(prob)
 
     def test_solve_spd_fallback(self):
-        # indefinite but well-conditioned: Cholesky fails, fallback succeeds
-        M = np.diag([1.0, -1.0])
-        rhs = np.array([2.0, 2.0])
-        assert np.allclose(solve_spd(M, rhs), [2.0, -2.0])
+        # indefinite but well-conditioned: an LU fallback used to return
+        # the stationary point, [2, -2] here, as if it were a minimizer
+        with pytest.raises(SingularSystemError, match="not positive definite"):
+            solve_spd(np.diag([1.0, -1.0]), np.array([2.0, 2.0]))
+        # a negative gamma makes M indefinite (eigenvalues -5.25 ... 1.80)
+        prob = dataclasses.replace(random_problem(0, 6), gamma=-2.0)
+        eigs = np.linalg.eigvalsh(regularized_matrix(prob))
+        assert eigs[0] < 0.0 < eigs[-1]
+        with pytest.raises(SingularSystemError, match="not positive definite"):
+            tikhonov_solution(prob)
 
 
 class TestRegularizedObjective:
