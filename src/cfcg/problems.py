@@ -34,9 +34,9 @@ __all__ = [
 
 BENCHMARK_IDS = ("h1", "h2", "h3")
 
-#: most doubles in one (points x train_points) temporary of the MLP line
-#: evaluator's input-side rows, which keeps each under glibc's 128 KiB
-#: mmap threshold
+#: most doubles in each of the MLP line evaluator's two input-side row
+#: buffers (whole units of points x train_points rows), unless one unit's
+#: rows are more
 LINE_CHUNK = 12_000
 
 
@@ -226,36 +226,46 @@ def mlp_objective(spec, target, data_seed):
         s2 = np.append((hid * hid).sum(axis=1) / z.size, 1.0)[:, None]
         out[0, 2 * H:] = 2.0 * (s1 + (ts[2 * H:] - p[2 * H:, None]) * s2)
         out[1, 2 * H:] = 2.0 * s2
-        # along w_j or b1_j one C-ordered (points x train_points) row per
-        # point, chunk by chunk, each reduced on its own.  The new residual
-        # is u_j + v_j tanh(a) with u = r - v hid and a = z w_j + b1_j at the
-        # new value; with g = v_j sech(a)**2 and q = g z (q = g along b1_j),
-        # f' = 2 mean(res q) and f'' = 2 mean(q q - 2 q res tanh(a) z)
-        # (without that last z along b1_j)
+        # along w_j or b1_j one C-ordered row over the training points per
+        # point.  The new residual is u_j + v_j th with u = r - v hid,
+        # th = tanh(a) and a = z w_j + b1_j at the new value; with
+        # S = 1 - th**2, P = S th and y = z (y = 1 along b1_j), v_j factors
+        # out of every sum:
+        #   f' N / 2 = v_j (S.(u_j y) + v_j P.y)
+        #   f'' N / 2 = v_j (v_j (3 S**2.y**2 - 2 S.y**2) - 2 P.(u_j y**2))
+        # A chunk is whole units' K rows each, S and P in two buffers made
+        # once per call; P.y, S.y**2 and S**2.y**2 are gemv products, and
+        # one broadcast vecdot takes both u_j-weighted sums
         u = r - v[:, None] * hid
-        width = max(1, LINE_CHUNK // z.size)
-        j = np.repeat(np.arange(H), K)
-        vj = v[j, None]
-        for block in range(2):
+        per = max(1, LINE_CHUNK // (K * z.size))  # units per chunk
+        rows = np.empty((2, min(per, H), K, z.size))  # S, P
+        chunks = [(slice(m, m + per), rows[:, :min(per, H - m)])
+                  for m in range(0, H, per)]
+        # per point S.(u y), P.(u y**2), P.y, S.y**2 and S**2.y**2
+        sums = np.empty((5, H, K))
+        vh = v[:, None]
+        for block, y in enumerate((z, np.ones(z.size))):
             t = ts[block * H:(block + 1) * H].reshape(-1, 1)
-            coef = np.hstack((t, b1[j, None]) if block == 0 else (w[j, None], t))
-            d = out[:, block * H:(block + 1) * H].reshape(2, -1)  # a view
-            for m in range(0, j.size, width):
-                jm, rows = j[m:m + width], slice(m, m + width)
-                th = coef[rows] @ zb
-                np.tanh(th, out=th)
-                q = vj[rows] * th
-                res = u[jm]
-                res += q
-                q *= th
-                np.subtract(vj[rows], q, out=q)
-                if block == 0:
-                    q *= z
-                d[0, rows] = np.vecdot(res, q)
-                res *= th
-                if block == 0:
-                    res *= z
-                d[1, rows] = np.vecdot(q, q) - 2.0 * np.vecdot(q, res)
+            other = np.repeat(b1 if block == 0 else w, K)[:, None]
+            coef = np.hstack((t, other) if block == 0 else (other, t))
+            y2 = y * y
+            uy = (np.stack((y, y2))[:, None] * u)[:, :, None]  # u y, u y**2
+            for units, SP in chunks:
+                S, P = SP.reshape(2, -1, z.size)
+                at = sums[:, units].reshape(5, -1)  # a view
+                np.matmul(coef[units.start * K:units.stop * K], zb, out=P)
+                np.tanh(P, out=P)
+                np.square(P, out=S)
+                np.subtract(1.0, S, out=S)
+                P *= S
+                np.vecdot(SP, uy[:, units], out=sums[:2, units])
+                np.matmul(P, y, out=at[2])
+                np.matmul(S, y2, out=at[3])
+                S *= S
+                np.matmul(S, y2, out=at[4])
+            d = out[:, block * H:(block + 1) * H]  # a view
+            d[0] = vh * (sums[0] + vh * sums[2])
+            d[1] = vh * (vh * (3.0 * sums[4] - 2.0 * sums[3]) - 2.0 * sums[1])
             d *= 2.0 / z.size
         return out.reshape(2, -1)
 

@@ -46,7 +46,9 @@ class LeastSquaresProblem:
     x_bar  : anchor point of the regularizer
 
     No linear term is stored: a run objective builds the one its
-    iteration matrix needs (see problems.tikhonov_run_objective).
+    iteration matrix needs (see problems.tikhonov_run_objective).  A nan
+    or infinite gamma is refused here, also through dataclasses.replace;
+    a negative one is refused only by build_quadratic.
     """
 
     X: np.ndarray
@@ -55,6 +57,10 @@ class LeastSquaresProblem:
     r_bar: np.ndarray
     gamma: float
     x_bar: np.ndarray
+
+    def __post_init__(self):
+        if not np.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
 
 
 def build_quadratic(X, y, gamma=0.0, x_bar=None):

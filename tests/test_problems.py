@@ -402,6 +402,59 @@ def test_line_evaluator_takes_whole_lines(seed, hidden, train, scale, K):
         assert obj.eval(q) == float(want)
 
 
+def elementwise_input_lines(spec, z, tv, p, ts):
+    """f' and f'' (axis 1) along every w line and b1 line (axis 0) of p
+    at the abscissae ts, from the elementwise formulas: with a the unit's
+    pre-activation at the new value, u_j = r - v_j h_j, the new residual
+    res = u_j + v_j tanh(a) and q = v_j sech(a)**2 y, y = z along w_j and
+    1 along b1_j, f' = 2 mean(res q) and f'' = 2 mean(q q - 2 q res
+    tanh(a) y)."""
+    H = spec.hidden_units
+    w, b1, v, b2 = p[:H], p[H:2 * H], p[2 * H:3 * H], p[3 * H]
+    hid = np.tanh(np.outer(w, z) + b1[:, None])
+    u = (v @ hid + b2 - tv - v[:, None] * hid)[:, None]
+    vj = v[:, None, None]
+    want = np.empty((2, 2, H, ts.shape[1]))
+    for block, y in enumerate((z, np.ones(z.size))):
+        t = ts[block * H:(block + 1) * H, :, None]
+        a = t * z + b1[:, None, None] if block == 0 else w[:, None, None] * z + t
+        res = u + vj * np.tanh(a)
+        q = vj / np.cosh(a) ** 2 * y
+        want[block, 0] = 2.0 * np.mean(res * q, axis=-1)
+        want[block, 1] = 2.0 * np.mean(q * q - 2.0 * q * res * np.tanh(a) * y,
+                                       axis=-1)
+    return want
+
+
+@pytest.mark.parametrize("hidden, saturated", [(60, False), (17, False),
+                                               (6, True)])
+def test_line_evaluator_matches_elementwise_formulas(hidden, saturated):
+    # eval_line factors v_j out of its input-side sums; at the benchmark's
+    # shape (N=100, K=8; chunks of 15 units), at H=17, whose last chunk
+    # holds 2 units, and with +-10 input-side weights, each block's f' and
+    # f'' agree with the elementwise formulas to 1e-12 of the block's
+    # largest magnitude, closer than central differences at 1e-7 can check
+    spec = MlpSpec(hidden_units=hidden, train_points=100, trials=1)
+    obj = mlp_objective(spec, "h2", data_seed=hidden)
+    z = mlp_dataset(spec, hidden)
+    rng = np.random.default_rng(hidden)
+    H = hidden
+    if saturated:
+        p = np.concatenate([rng.choice([-10.0, 10.0], 2 * H),
+                            rng.uniform(-10.0, 10.0, H + 1)])
+        ts = p[:, None] + rng.uniform(-1.0, 1.0, (p.size, 8))
+    else:
+        p = mlp_init(spec, hidden)
+        ts = rng.uniform(-2.0, 2.0, (p.size, 8))
+    got = obj.eval_line(p, ts.ravel()).reshape(2, p.size, 8)
+    want = elementwise_input_lines(spec, z, benchmark_fn("h2", z), p, ts)
+    for block in range(2):
+        for d in range(2):
+            w = want[block, d]
+            g = got[d, block * H:(block + 1) * H]
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), (block, d)
+
+
 def test_line_evaluator_temporaries_stay_small():
     # a warm call at the benchmark's network shape (H=60, N=100, K=8):
     # eval_line builds its input-side rows LINE_CHUNK doubles at a time

@@ -66,6 +66,14 @@ class TestBuildQuadratic:
                                match="^gamma must be nonnegative and finite$"):
                 build_quadratic(np.eye(2), np.ones(2), gamma=gamma)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_replace_refuses_a_non_finite_gamma(self, gamma):
+        # the route a sweep cell takes: tikhonov_solution used to fail with
+        # "Eigenvalues did not converge" at nan and warn at inf
+        prob = random_problem(0, 3)
+        with pytest.raises(ValueError, match="^gamma must be finite, got "):
+            dataclasses.replace(prob, gamma=gamma)
+
     def test_same_bytes_on_one_and_two_blas_threads(self):
         # X X' through dgemm or dsyrk rounds differently on one BLAS thread
         # than on two; A's bytes must not depend on the thread count.  A
