@@ -254,108 +254,118 @@ def write_trace_csv(trace, path):
 # runners
 
 
-# what one solver call needs besides the solver and its beta kind; sd_rule
-# is the problem's CFSD step rule, gamma and target name the problem in
-# its result row
-_Problem = namedtuple("_Problem", "objective x0 frac stop sd_rule reference "
-                      "gamma target", defaults=(None, math.nan, ""))
+# one sweep cell: setup() returns its (objective, x0, frac, reference),
+# built when the cell runs; alpha, gamma and target name the cell in its
+# result row, stop and sd_rule (the CFSD step rule) are its problem's, and
+# trace names its trace file
+_Cell = namedtuple("_Cell", "setup solver beta trace alpha gamma target "
+                   "stop sd_rule")
 
 
-def _run_cell(config, experiment, problem, solver, beta, out_dir=None,
-              trace_name=None):
-    """Run one solver on one problem and write its trace under out_dir
-    (if given); returns (row, report), the row being the run's one
-    ResultRow: alpha and rho from problem.frac, step_param the CFSD rule's
-    largest step (nan for CFCG), final_dist nan without a reference.
+def _run_cell(config, experiment, cell, out_dir=None):
+    """Set up and run one cell and write its trace under out_dir (if
+    given); returns (row, report), the row being the run's one ResultRow:
+    step_param the CFSD rule's largest step (nan for CFCG), final_dist nan
+    without a reference.  A cell whose set-up fails gets an Error(...) row
+    and no report: the row names the cell, its error and trials_completed
+    0, and leaves the run-only fields at their defaults (nan, wall_ms 0.0).
     """
-    p = problem
+    row = functools.partial(ResultRow, experiment, cell.solver, cell.beta,
+                            cell.alpha, config.rho, cell.gamma, config.seed,
+                            cell.target)
+    try:
+        objective, x0, frac, reference = cell.setup()
+    except Exception as exc:  # noqa: BLE001 - row records the failure
+        return row(0, f"Error({type(exc).__name__})", str(exc)), None
     t0 = time.perf_counter()
-    if solver == "CFCG":
-        report = cfcg_minimize(p.objective, p.x0, p.frac, beta, stop=p.stop,
-                               reference=p.reference)
+    if cell.solver == "CFCG":
+        report = cfcg_minimize(objective, x0, frac, cell.beta, stop=cell.stop,
+                               reference=reference)
         step_param = math.nan
     else:
-        report = cfsd_minimize(p.objective, p.x0, p.frac, p.sd_rule,
-                               stop=p.stop, reference=p.reference)
-        step_param = max(p.sd_rule.etas)
+        report = cfsd_minimize(objective, x0, frac, cell.sd_rule,
+                               stop=cell.stop, reference=reference)
+        step_param = max(cell.sd_rule.etas)
     wall = (time.perf_counter() - t0) * 1e3
     if out_dir is not None and config.write_traces:
-        write_trace_csv(report.trace, Path(out_dir) / trace_name)
+        write_trace_csv(report.trace, Path(out_dir) / cell.trace)
     dist = report.trace[-1].dist_to_reference
-    return ResultRow(
-        experiment, solver, beta, p.frac.alpha, p.frac.rho, p.gamma,
-        config.seed, p.target, 1, report.status.value, report.stop_reason,
-        report.iterations, report.objective_evals, report.gradient_evals,
-        report.final_grad_norm, math.nan if dist is None else dist,
-        step_param, wall), report
+    return row(1, report.status.value, report.stop_reason, report.iterations,
+               report.objective_evals, report.gradient_evals,
+               report.final_grad_norm, math.nan if dist is None else dist,
+               step_param, wall), report
 
 
-def _example1_instance(config):
-    """The seeded least-squares instance: (problem, x0, frac)."""
-    prob, x0, c = gen_example1(Example1Config(seed=config.seed, m=config.m,
-                                              n=config.n))
-    return prob, x0, FracParams(config.alpha, config.rho, c)
+# perfbench/tracer.py:29 times each call of this name as one cell; it wraps
+# every module attribute bound to the function, so _run_cell's calls too
+_example1_cell = _run_cell
 
 
-def _tikhonov_problem(config, prob, x0, frac, gamma):
-    """The example1 run at one gamma, shared by every cell of that gamma."""
-    prob = dataclasses.replace(prob, gamma=gamma)
-    objective, target, _ = tikhonov_run_objective(prob, frac)
-    return _Problem(objective, x0, frac,
-                    StopCriteria(config.grad_tol, config.max_iter),
-                    EXAMPLE1_SD_RULE, reference=target, gamma=gamma)
-
-
-def _example1_cell(config, experiment, setup, solver, beta, gamma, out_dir,
-                   trace_name):
-    """One example1 cell as _run_cell's (row, report); setup() returns the
-    problem of the cell's gamma (built by the first cell that calls it).
-    A cell whose set-up fails gets an Error(...) row and no report: the
-    row names the cell, its error and trials_completed 0, and leaves the
-    run-only fields at their defaults (nan, wall_ms 0.0).
-    perfbench's tracer times each call of this function as one cell."""
-    try:
-        problem = setup()
-    except Exception as exc:  # noqa: BLE001 - row records the failure
-        return ResultRow(experiment, solver, beta, config.alpha, config.rho,
-                         gamma, config.seed, "", 0,
-                         f"Error({type(exc).__name__})", str(exc)), None
-    return _run_cell(config, experiment, problem, solver, beta, out_dir,
-                     trace_name)
-
-
-def run_example1(config, out_dir=None):
-    """Sweep gamma grid x beta kinds x solvers on one seeded instance."""
-    _check_config(config)
-    prob, x0, frac = _example1_instance(config)
-    rows = []
-    for gamma in config.gamma_grid:
-        # a failed setup is not cached: each cell retries it and records
-        # the same error
-        setup = functools.cache(functools.partial(
-            _tikhonov_problem, config, prob, x0, frac, gamma))
-        for beta_kind in config.beta_kinds:
-            for solver in config.solvers:
-                name = f"trace_example1_g{gamma:g}_{solver}_{beta_kind}.csv"
-                rows.append(_example1_cell(config, "example1", setup, solver,
-                                           beta_kind, gamma, out_dir, name)[0])
-    return rows
+def _tikhonov_problem(prob, x0, frac, gamma):
+    """The example1 run at one gamma: (objective, x0, frac, reference)."""
+    objective, target, _ = tikhonov_run_objective(
+        dataclasses.replace(prob, gamma=gamma), frac)
+    return objective, x0, frac, target
 
 
 def _mlp_problem(config, alpha, target, trial):
-    """One seeded network-training trial on one target; the seeds depend on
-    the target's place in BENCHMARK_IDS, not on the other targets run."""
+    """One seeded network-training trial on one target, as (objective, x0,
+    frac, None); the seeds depend on the target's place in BENCHMARK_IDS,
+    not on the other targets run."""
     spec = MlpSpec(hidden_units=config.hidden_units,
                    train_points=config.train_points, trials=config.trials)
     seeds = np.random.SeedSequence(
         (config.seed, BENCHMARK_IDS.index(target), trial))
     data_ss, init_ss = seeds.spawn(2)
-    return _Problem(
-        mlp_objective(spec, target, data_ss), mlp_init(spec, init_ss),
-        FracParams(alpha, config.rho, mlp_lower_terminal(spec)),
-        StopCriteria(config.grad_tol, config.max_iter,
-                     f_decrease_tol=config.f_decrease_tol), MLP_SD_RULE,
-        target=target)
+    return (mlp_objective(spec, target, data_ss), mlp_init(spec, init_ss),
+            FracParams(alpha, config.rho, mlp_lower_terminal(spec)), None)
+
+
+def _cells(config, experiment):
+    """The cells of example1, example2 or single, in run order; single's
+    are those of its problem's sweep, so its cell is their first.
+
+    example1: gamma x beta kind x solver on one seeded instance.  A
+    gamma's set-up is built by its first cell and shared by the others;
+    a failed set-up is not cached, so each cell retries it and records the
+    same error.  The networks: alpha x target x solver x kind x trial,
+    the one CFSD cell with kind "".
+    """
+    problem = config.problem if experiment == "single" else experiment
+    if problem == "example1":
+        stop = StopCriteria(config.grad_tol, config.max_iter)
+        prob, x0, c = gen_example1(Example1Config(seed=config.seed, m=config.m,
+                                                  n=config.n))
+        frac = FracParams(config.alpha, config.rho, c)
+        for gamma in config.gamma_grid:
+            setup = functools.cache(functools.partial(
+                _tikhonov_problem, prob, x0, frac, gamma))
+            for kind, solver in itertools.product(config.beta_kinds,
+                                                  config.solvers):
+                yield _Cell(setup, solver, kind,
+                            f"trace_example1_g{gamma:g}_{solver}_{kind}.csv",
+                            config.alpha, gamma, "", stop, EXAMPLE1_SD_RULE)
+        return
+    stop = StopCriteria(config.grad_tol, config.max_iter,
+                        f_decrease_tol=config.f_decrease_tol)
+    targets = config.targets if problem == "example2" else (problem[4:],)
+    for alpha, target, solver in itertools.product(
+            config.alpha_grid or (config.alpha,), targets, config.solvers):
+        for kind in config.beta_kinds if solver == "CFCG" else ("",):
+            for trial in range(config.trials):
+                yield _Cell(
+                    functools.partial(_mlp_problem, config, alpha, target,
+                                      trial), solver, kind,
+                    f"trace_example2_a{alpha:g}_{target}_{solver}{kind}_"
+                    f"t{trial}.csv", alpha, math.nan, target, stop,
+                    MLP_SD_RULE)
+
+
+def run_example1(config, out_dir=None):
+    """Sweep gamma grid x beta kinds x solvers on one seeded instance."""
+    _check_config(config)
+    return [_run_cell(config, "example1", cell, out_dir)[0]
+            for cell in _cells(config, "example1")]
 
 
 def _mean_row(rows):
@@ -375,38 +385,19 @@ def _mean_row(rows):
 def run_example2(config, out_dir=None):
     """Network-training comparison; one mean row per (alpha, target, solver/beta)."""
     _check_config(config)
-    alphas = config.alpha_grid or (config.alpha,)
-    cells = [("CFCG", bk) for bk in config.beta_kinds if "CFCG" in config.solvers]
-    if "CFSD" in config.solvers:
-        cells.append(("CFSD", ""))
-    rows = []
-    for alpha in alphas:
-        for target in config.targets:
-            for solver, beta_kind in cells:
-                trials = [_run_cell(config, "example2",
-                                    _mlp_problem(config, alpha, target, trial),
-                                    solver, beta_kind, out_dir,
-                                    f"trace_example2_a{alpha:g}_{target}_"
-                                    f"{solver}{beta_kind}_t{trial}.csv")[0]
-                          for trial in range(config.trials)]
-                rows.append(_mean_row(trials))
-    return rows
+    rows = [_run_cell(config, "example2", cell, out_dir)[0]
+            for cell in _cells(config, "example2")]
+    n = config.trials  # the cells list each mean row's trials in a run
+    return [_mean_row(rows[i:i + n]) for i in range(0, len(rows), n)]
 
 
 def run_single(config, out_dir=None):
-    """The first cell of the configured sweep; returns (row, report).  On
-    example1 a failed set-up gives the sweep's Error(...) row and no report."""
+    """The first cell of the configured sweep; returns (row, report).  A
+    failed set-up gives the sweep's Error(...) row and no report."""
     _check_config(config)
-    solver, beta = config.solvers[0], config.beta_kinds[0]
-    if config.problem == "example1":
-        gamma = config.gamma_grid[0]
-        prob, x0, frac = _example1_instance(config)
-        setup = functools.partial(_tikhonov_problem, config, prob, x0, frac, gamma)
-        return _example1_cell(config, "single", setup, solver, beta, gamma,
-                              out_dir, "trace_single.csv")
-    return _run_cell(config, "single", _mlp_problem(
-        config, (config.alpha_grid or (config.alpha,))[0], config.problem[4:],
-        0), solver, beta, out_dir, "trace_single.csv")
+    cell = next(_cells(config, "single"))
+    return _run_cell(config, "single", cell._replace(trace="trace_single.csv"),
+                     out_dir)
 
 
 # ---------------------------------------------------------------------------

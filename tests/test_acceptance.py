@@ -441,6 +441,7 @@ def test_criterion_09_network_desk_ordering():
             f"mean CFCG iters {{{', '.join(detail)}}} < CFSD {sd_mean:.2f}")
 
 
+@pytest.mark.bytes
 def test_criterion_10_determinism(default_sweep_rows, tmp_path):
     config = ExperimentConfig()
 

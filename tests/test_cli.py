@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import errno
 import io
+import itertools
 import json
 import math
 import random
@@ -17,8 +18,7 @@ from hypothesis import strategies as st
 from cfcg.cli import (EXAMPLE1_SD_RULE, MLP_SD_RULE, ConfigError,
                       ExperimentConfig, ResultRow, load_config, main,
                       run_example1, run_example2, run_single, write_rows,
-                      write_trace_csv, TRACE_COLUMNS,
-                      _example1_instance, _fmt, _run_cell, _tikhonov_problem)
+                      write_trace_csv, TRACE_COLUMNS, _fmt)
 from cfcg.engine import (IterRecord, LineSearchParams, RunStatus,
                          StopCriteria, cfcg_minimize)
 from cfcg.fraccalc import FracParams
@@ -272,6 +272,7 @@ class TestSerialization:
         cfcg = [row for row in payload if row["solver"] == "CFCG"]
         assert cfcg and all(row["step_param"] is None for row in cfcg)
 
+    @pytest.mark.bytes
     def test_golden_miniature_run(self, tmp_path):
         # regression pin on the full row content of a seeded miniature run
         rows = run_example1(TINY)
@@ -313,10 +314,8 @@ class TestSerialization:
         assert got.read_bytes() == csv_writer_trace(trace)
 
     def test_trace_float_precision_round_trips(self, tmp_path):
-        config = TINY
-        prob, x0, frac = _example1_instance(config)
-        problem = _tikhonov_problem(config, prob, x0, frac, 1.0)
-        _, report = _run_cell(config, "example1", problem, "CFCG", "FR")
+        # the CFCG-FR cell at gamma 1
+        _, report = run_single(TINY)
         path = tmp_path / "trace.csv"
         write_trace_csv(report.trace, path)
         parsed = read_csv_rows(path)
@@ -359,6 +358,7 @@ GOLDEN_TRACES = {
 }
 
 
+@pytest.mark.bytes
 class TestGoldenTraces:
     # traces carry no wall time, so the whole file is pinned byte for byte
     @pytest.mark.parametrize("golden", sorted(GOLDEN_TRACES))
@@ -382,12 +382,11 @@ class TestExample1Runner:
 
     def test_sweep_isolation_matches_single_cell(self):
         rows = run_example1(DESK)
-        prob, x0, frac = _example1_instance(DESK)
-        # reproduce an arbitrary interior cell in isolation
+        # reproduce an arbitrary interior cell in isolation: a one-cell sweep
         target_row = next(r for r in rows
                           if r.solver == "CFCG" and r.beta == "DY" and r.gamma == 2.0)
-        problem = _tikhonov_problem(DESK, prob, x0, frac, 2.0)
-        _, report = _run_cell(DESK, "example1", problem, "CFCG", "DY")
+        _, report = run_single(dataclasses.replace(
+            DESK, gamma_grid=(2.0,), beta_kinds=("DY",), solvers=("CFCG",)))
         assert report.iterations == target_row.iterations
         assert report.objective_evals == target_row.objective_evals
         assert report.final_grad_norm == target_row.final_grad_norm
@@ -489,12 +488,14 @@ class TestExample2Runner:
     def test_single_trial_row_is_the_single_row(self, solver, target):
         # one trial's mean row is the run's own row, every count, alpha,
         # rho, target and step_param alike: only the experiment, the mean's
-        # stop_reason and the wall time differ.  With an alpha_grid, single
-        # is the sweep's first cell, at alpha_grid[0]
-        for alpha_grid in ((), (0.5, 0.9)):
+        # stop_reason and the wall time differ.  single is the sweep's
+        # first cell: at alpha_grid[0], and solvers[0] whichever comes first
+        other = "CFSD" if solver == "CFCG" else "CFCG"
+        for alpha_grid, solvers in itertools.product(
+                ((), (0.5, 0.9)), ((solver,), (solver, other))):
             config = dataclasses.replace(
                 self.CONFIG, trials=1, targets=(target,), beta_kinds=("PRP",),
-                solvers=(solver,), alpha_grid=alpha_grid)
+                solvers=solvers, alpha_grid=alpha_grid)
             mean = run_example2(config)[0]
             row, _ = run_single(dataclasses.replace(config,
                                                     problem=f"mlp-{target}"))
@@ -504,8 +505,8 @@ class TestExample2Runner:
             assert rows_without_wall([dataclasses.replace(
                 mean, experiment="single", stop_reason=row.stop_reason)]) == (
                     rows_without_wall([row]))
-            assert (mean.alpha, mean.rho, mean.target) == (
-                (alpha_grid or (0.9,))[0], 0.1, target)
+            assert (mean.solver, mean.alpha, mean.rho, mean.target) == (
+                solver, (alpha_grid or (0.9,))[0], 0.1, target)
 
     def test_alpha_grid_sweep(self):
         config = dataclasses.replace(self.CONFIG, alpha_grid=(0.8, 0.9),

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfcg.cli import (ExperimentConfig, _example1_instance, _mlp_problem,
-                      _tikhonov_problem)
+from cfcg.cli import ExperimentConfig, _cells
 from cfcg.engine import (DIRECTION_NORM_CAP, STALENESS_RESTART,
                          SUFFICIENT_DESCENT, BetaKind, GridStep,
                          LineSearchError, LineSearchParams, Objective,
@@ -460,47 +459,47 @@ class TestRestartRules:
 
     def test_default_sweep(self):
         # the example1 default instance: 6 gammas x 5 kinds, 1426 steps
-        config = ExperimentConfig()
-        prob, x0, frac = _example1_instance(config)
         tally = collections.Counter()
-        for gamma in config.gamma_grid:
-            problem = _tikhonov_problem(config, prob, x0, frac, gamma)
-            for kind in BetaKind:
-                _, steps = run_with_steps(cfcg_minimize, problem.objective,
-                                          x0, frac, kind, stop=problem.stop)
-                tally += restart_tally(steps, kind)
+        for cell in _cells(ExperimentConfig(solvers=("CFCG",)), "example1"):
+            objective, x0, frac, _ = cell.setup()
+            _, steps = run_with_steps(cfcg_minimize, objective, x0, frac,
+                                      cell.beta, stop=cell.stop)
+            tally += restart_tally(steps, cell.beta)
         assert tally == {"staleness": 743, "descent": 19}
 
     def test_networks(self):
         # trial 0 of each default network target, 5 kinds each
-        config = ExperimentConfig()
         tally = collections.Counter()
-        for target in BENCHMARK_IDS:
-            for kind in BetaKind:
-                p = _mlp_problem(config, config.alpha, target, 0)
-                _, steps = run_with_steps(cfcg_minimize, p.objective, p.x0,
-                                          p.frac, kind, stop=p.stop)
-                tally += restart_tally(steps, kind)
+        for cell in _cells(ExperimentConfig(solvers=("CFCG",), trials=1),
+                           "example2"):
+            objective, x0, frac, _ = cell.setup()
+            _, steps = run_with_steps(cfcg_minimize, objective, x0, frac,
+                                      cell.beta, stop=cell.stop)
+            tally += restart_tally(steps, cell.beta)
         assert tally == {"staleness": 214, "descent": 1}
 
     @pytest.mark.parametrize("kind", ["FR", "CD", "DY"])
     def test_norm_cap_restarts_an_ill_conditioned_run(self, kind):
-        # f = (x - x*)'A(x - x*) / 2 with eigenvalues 1e-6 along u and 1e8
-        # along v, x* = 1e6 u, from 0; gamma = 0, so the closed form is the
-        # classical gradient.  At some step the coupled direction passes
-        # the sufficient-descent test but is over 1e6 times longer than g,
-        # and only the norm cap restarts it.  The run still ends in
-        # LineSearchFailure: at condition number 1e14 every kind does
-        u, v = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
-        A = 1e-6 * np.outer(u, u) + 1e8 * np.outer(v, v)
-        frac = FracParams(0.5, 1 / 3, np.zeros(2))
+        # f = x'Ax / 2 with A = diag(0.2, 1e9, 1e16), from the x whose
+        # gradient is (1, 1e-4, 1e-15); gamma = 0, so the closed form is the
+        # classical gradient.  Each of the first two steps overshoots a
+        # stiffer coordinate, and |g| grows 1.25e4-fold, then 7.5e3-fold.
+        # The coupled direction keeps the first step's length, so at step 1
+        # it is 80-100 times inside the cap (1e6 |g|) and at step 2 82-128
+        # times past it, with every other rule passed: only the norm cap
+        # restarts it, under any rounding.  The budget ends the run after
+        # the restarted step, before its tail, whose status does depend on
+        # rounding
+        A = np.diag([0.2, 1e9, 1e16])
+        frac = FracParams(0.5, 1 / 3, np.zeros(3))
         assert frac.gamma == 0.0
-        obj, _, _ = quadratic_objective(A, -A @ (1e6 * u), frac, 1e6 * u)
-        rep, steps = run_with_steps(cfcg_minimize, obj, np.zeros(2), frac,
-                                    kind)
+        obj, _, _ = quadratic_objective(A, np.zeros(3), frac, np.zeros(3))
+        x0 = np.array([1.0, 1e-4, 1e-15]) / np.diag(A)
+        rep, steps = run_with_steps(cfcg_minimize, obj, x0, frac, kind,
+                                    stop=StopCriteria(1e-4, 3))
         tally = restart_tally(steps, kind)
         assert tally["norm cap"] >= 1 and tally["unexplained"] == 0
-        assert rep.status is RunStatus.LINE_SEARCH_FAILURE
+        assert rep.status is RunStatus.MAX_ITER
 
 
 class TestCfsd:

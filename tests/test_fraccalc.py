@@ -448,18 +448,19 @@ class TestGeneralGradient:
         worst = 0.0
         for target in BENCHMARK_IDS:
             for trial in (0, 1):
-                problem = _mlp_problem(config, 0.9, target, trial)
+                objective, x, frac, _ = _mlp_problem(config, 0.9, target,
+                                                     trial)
                 # the problem's dataset, from the same seeds
                 data_ss, _ = np.random.SeedSequence(
                     (config.seed, BENCHMARK_IDS.index(target), trial)).spawn(2)
                 z = np.random.default_rng(data_ss).uniform(
                     -1.0, 1.0, config.train_points)
-                x, c = problem.x0, problem.frac.c
+                c = frac.c
                 refs = trapezoid_reference(z, benchmark_fn(target, z), x, c,
                                            self.CASES)
                 for (alpha, rho), ref in zip(self.CASES, refs):
                     got = frac_gradient_general(
-                        problem.objective, x, FracParams(alpha, rho, c), None)
+                        objective, x, FracParams(alpha, rho, c), None)
                     worst = max(worst, np.linalg.norm(got - ref)
                                 / np.linalg.norm(ref))
         assert worst <= 5e-6
