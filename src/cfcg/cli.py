@@ -33,7 +33,7 @@ import numpy as np
 
 from .engine import (BetaKind, GridStep, RunStatus, StopCriteria,
                      cfcg_minimize, cfsd_minimize)
-from .fraccalc import FracParams, QuadratureSpec
+from .fraccalc import FracParams, QuadratureSpec, _index
 from .problems import (BENCHMARK_IDS, Example1Config, MlpSpec, gen_example1,
                        mlp_init, mlp_lower_terminal, mlp_objective,
                        tikhonov_run_objective)
@@ -478,15 +478,15 @@ def _check_config(config):
                 raise ConfigError(f"repeated entries in {name}: "
                                   + ",".join(map(str, (seen[key], value))))
             seen[key] = value
-    if config.m < 1 or config.n < 1:
-        raise ConfigError(f"m and n must be positive, got m={config.m}, "
-                          f"n={config.n}")
-    if config.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
     if not all(0.0 <= g < math.inf for g in config.gamma_grid):
         raise ConfigError("gamma must be nonnegative and finite, got "
                           + ",".join(map(str, config.gamma_grid)))
     try:
+        if _index(config.m, "m") < 1 or _index(config.n, "n") < 1:
+            raise ValueError(f"m and n must be positive, got m={config.m}, "
+                             f"n={config.n}")
+        if _index(config.seed, "seed") < 0:
+            raise ValueError(f"seed must be nonnegative, got {config.seed}")
         QuadratureSpec(config.node_count)
         StopCriteria(config.grad_tol, config.max_iter, config.f_decrease_tol)
         MlpSpec(hidden_units=config.hidden_units,

@@ -121,21 +121,6 @@ def _unit_rule(alpha, node_count):
 
 
 @functools.lru_cache(maxsize=16)
-def _line_weights(alpha, node_count):
-    """The rule's weights w with the fourth-order stencils of f' and f''
-    folded in: sum_j w_j f'(t_j) is y @ a1 / q and sum_j w_j f''(t_j) is
-    y @ a2 / q^2, where y holds f at the N+5 nodes from two ghost nodes
-    before the first rule node to two after the last, q apart.  Made once
-    per (alpha, node_count) and read-only, as every caller shares them."""
-    _, w = _unit_rule(alpha, node_count)
-    a1 = np.convolve(w, [1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    a2 = np.convolve(w, [-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-    a1.setflags(write=False)
-    a2.setflags(write=False)
-    return a1, a2
-
-
-@functools.lru_cache(maxsize=16)
 def _jacobi_rule(alpha, node_count):
     """Nodes s_k, increasing in (0, 1), and weights W_k of the Gauss rule
     of the weight (1-alpha)(1-s)^(-alpha) on [0, 1], the Jacobi weight
@@ -233,9 +218,7 @@ def frac_gradient_general(f, x, params, spec):
     to one, probing ``fn`` of an Objective (or the plain callable) once per
     node, at the N+1 rule nodes and two ghost nodes beyond each end (up
     to 2 |x_i - c_i| / N outside [c_i, x_i]); f' and f'' come from
-    fourth-order central stencils there, exact on quadratics and folded
-    into the weights, so each of the two sums is one dot product of the
-    coordinate's samples with a fixed vector.  Where
+    fourth-order central stencils there, exact on quadratics.  Where
     |x_i - c_i| / N < h = FD_STEP * max(1, |x_i|), coordinate i is
     d1 + rho (x_i - c_i) d2 from central differences of step h at x_i,
     which is continuous at x_i = c_i.
@@ -267,9 +250,12 @@ def frac_gradient_general(f, x, params, spec):
     if ii.size:
         qi = q[ii]
         y = _line_samples(f, x, ii, x[ii, None] + qi[:, None] * k)
-        a1, a2 = _line_weights(params.alpha, spec.node_count)
-        g[ii] = (np.vecdot(y, a1) / qi
-                 + params.rho * span[ii] * np.vecdot(y, a2) / (qi * qi))
+        _, w = _unit_rule(params.alpha, spec.node_count)
+        # each rule node's samples two and one steps below, at and above it
+        lo2, lo1, mid, up1, up2 = (y[:, j:j + w.size] for j in range(5))
+        d1 = np.vecdot(lo2 - up2 + 8.0 * (up1 - lo1), w) / 12.0
+        d2 = np.vecdot(16.0 * (lo1 + up1) - lo2 - up2 - 30.0 * mid, w) / 12.0
+        g[ii] = d1 / qi + params.rho * span[ii] * d2 / (qi * qi)
     ii = np.flatnonzero(near)
     if ii.size:
         hi = h[ii]

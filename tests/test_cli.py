@@ -589,8 +589,12 @@ class TestSingleRunner:
     (run_example1, dataclasses.replace(TINY, solvers=("SD",))),
     (run_example2, dataclasses.replace(TestExample2Runner.CONFIG, trials=0)),
     (run_single, dataclasses.replace(TINY, problem="example1", solvers=("SD",))),
+    (run_example1, dataclasses.replace(TINY, m=8.5)),
+    (run_example1, dataclasses.replace(TINY, n=7.0)),
+    (run_single, dataclasses.replace(TINY, seed=1.5)),
 ], ids=["example1-solver-unknown", "example2-trials-zero",
-        "single-solver-unknown"])
+        "single-solver-unknown", "example1-m-fractional", "example1-n-float",
+        "single-seed-fractional"])
 def test_runner_checks_its_config(runner, config):
     # called from Python, not through main
     with pytest.raises(ConfigError):

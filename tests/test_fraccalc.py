@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cfcg.cli import ExperimentConfig, _mlp_problem
 from cfcg.engine import Objective, RunStatus, cfcg_minimize
 from cfcg.fraccalc import (FD_STEP, JACOBI_NODES, FracParams, QuadratureSpec,
-                           _jacobi_rule, _line_weights, _unit_rule,
+                           _jacobi_rule, _unit_rule,
                            frac_gradient_general, frac_gradient_quadratic,
                            gamma_coeff)
 from cfcg.problems import (BENCHMARK_IDS, MlpSpec, benchmark_fn, mlp_init,
@@ -492,10 +492,14 @@ def trapezoid_reference(z, tv, x, c, cases, node_count=2048):
     k = np.arange(-node_count - 2, 3)
     y = np.array([network_on_lines(z, tv, x, i, x[i] + q[i] * k)
                   for i in range(x.size)])
+    # the fourth-order stencils at every rule node, then the rule's weights
+    lo2, lo1, mid, up1, up2 = (y[:, j:j + node_count + 1] for j in range(5))
+    d1 = (lo2 - up2 + 8.0 * (up1 - lo1)) / 12.0
+    d2 = (16.0 * (lo1 + up1) - lo2 - up2 - 30.0 * mid) / 12.0
     refs = []
     for alpha, rho in cases:
-        a1, a2 = _line_weights(alpha, node_count)
-        refs.append(y @ a1 / q + rho * span * (y @ a2) / (q * q))
+        _, w = _unit_rule(alpha, node_count)
+        refs.append(d1 @ w / q + rho * span * (d2 @ w) / (q * q))
     return refs
 
 
@@ -655,25 +659,6 @@ def test_unit_rule_weights_are_a_mean(alpha, node_count):
     assert s[0] == 0.0 and s[-1] == 1.0 and s.shape == w.shape
     assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
     assert abs(w.sum() - 1.0) <= 1e-14
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(alpha=st.floats(0.05, 0.95), node_count=st.integers(2, 256),
-       seed=st.integers(0, 2**32 - 1))
-def test_folded_weights_are_stencils_then_weights(alpha, node_count, seed):
-    # the reference: the fourth-order stencils applied to rows of samples,
-    # then the rule's weights
-    _, w = _unit_rule(alpha, node_count)
-    y = np.random.default_rng(seed).uniform(-1.0, 1.0, (4, node_count + 5))
-    lo2, lo1, mid, up1, up2 = (y[:, j:j + w.size] for j in range(5))
-    d1 = ((lo2 - up2 + 8.0 * (up1 - lo1)) / 12.0 * w).sum(axis=1)
-    d2 = ((16.0 * (lo1 + up1) - lo2 - up2 - 30.0 * mid) / 12.0 * w).sum(axis=1)
-    a1, a2 = _line_weights(alpha, node_count)
-    assert not (a1.flags.writeable or a2.flags.writeable)
-    assert np.all(np.abs(y @ a1 - d1) <= 1e-13)
-    assert np.all(np.abs(y @ a2 - d2) <= 1e-13)
-    # a constant has no derivative
-    assert abs(a1.sum()) <= 1e-14 and abs(a2.sum()) <= 1e-14
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
