@@ -33,7 +33,7 @@ import numpy as np
 
 from .engine import (BetaKind, GridStep, RunStatus, StopCriteria,
                      cfcg_minimize, cfsd_minimize)
-from .fraccalc import FracParams, QuadratureSpec, _index
+from .fraccalc import FracParams, QuadratureSpec
 from .problems import (BENCHMARK_IDS, Example1Config, MlpSpec, gen_example1,
                        mlp_init, mlp_lower_terminal, mlp_objective,
                        tikhonov_run_objective)
@@ -482,11 +482,7 @@ def _check_config(config):
         raise ConfigError("gamma must be nonnegative and finite, got "
                           + ",".join(map(str, config.gamma_grid)))
     try:
-        if _index(config.m, "m") < 1 or _index(config.n, "n") < 1:
-            raise ValueError(f"m and n must be positive, got m={config.m}, "
-                             f"n={config.n}")
-        if _index(config.seed, "seed") < 0:
-            raise ValueError(f"seed must be nonnegative, got {config.seed}")
+        Example1Config(seed=config.seed, m=config.m, n=config.n)
         QuadratureSpec(config.node_count)
         StopCriteria(config.grad_tol, config.max_iter, config.f_decrease_tol)
         MlpSpec(hidden_units=config.hidden_units,

@@ -55,11 +55,6 @@ class BetaKind(str, enum.Enum):
     PRP = "PRP"
     HS = "HS"
 
-    #: kinds whose formula is clamped at zero
-    @property
-    def clamped(self):
-        return self in (BetaKind.PRP, BetaKind.HS)
-
 
 class RunStatus(str, enum.Enum):
     CONVERGED = "Converged"
@@ -136,8 +131,7 @@ class Objective:
     def __init__(self, fn, frac_gradient=None, eval_line=None):
         self.fn = fn
         self.frac_gradient = frac_gradient
-        if eval_line is not None:
-            self.eval_line = eval_line
+        self.eval_line = eval_line
 
     def eval(self, x):
         return float(self.fn(x))
@@ -211,10 +205,11 @@ def beta_value(kind, g_k, g_prev, d_prev):
     if abs(den) < DENOMINATOR_FLOOR * scale:
         return None
 
-    value = (-num if kind == BetaKind.CD else num) / den
-    if kind.clamped:
-        value = max(0.0, value)
-    return value
+    if kind == BetaKind.CD:
+        return -num / den
+    if kind in (BetaKind.FR, BetaKind.DY):
+        return num / den
+    return max(0.0, num / den)  # PRP, HS
 
 
 def direction(kind, g, g_prev, d_prev):
@@ -298,7 +293,6 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, on_step):
     """
     stop = stop or StopCriteria()
     hook = f.frac_gradient
-    etas = rule.etas if kind is None else None
     grads = 0
 
     def grad(x):
@@ -334,19 +328,15 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, on_step):
             d = restart = None
             beta, cos_theta = 0.0, 1.0
             descent_inner = -gn * gn
-            eta = etas[0]
-            x_new = x - eta * g
-            x_new.setflags(write=False)
-            f_new = f.eval(x_new)
-            for eta_j in etas[1:]:
+            for j, eta_j in enumerate(rule.etas):
                 x_j = x - eta_j * g
                 x_j.setflags(write=False)
                 f_j = f.eval(x_j)
-                # the first nan trial is kept, so the non-finite guard stops
-                # the run; else the first lowest
-                if f_new == f_new and not f_j >= f_new:
+                # the first trial, then the first lowest; a kept nan stays,
+                # so the non-finite guard stops the run
+                if j == 0 or (f_new == f_new and not f_j >= f_new):
                     eta, x_new, f_new = eta_j, x_j, f_j
-            evals += len(etas)
+            evals += len(rule.etas)
             g_new = grad(x_new)
             increase_streak = increase_streak + 1 if f_new > f_x else 0
         else:
@@ -387,22 +377,23 @@ def _minimize(f, x0, frac, kind, rule, stop, quad, reference, on_step):
     return RunReport(status, reason, k, evals, grads, x.copy(), gn, trace)
 
 
-def cfcg_minimize(f, x0, frac, kind, ls=None, stop=None, quad=None,
-                  reference=None, on_step=None):
-    """Fractional conjugate-gradient minimization.
+def cfcg_minimize(f, x0, frac, kind, stop=None, quad=None, reference=None,
+                  on_step=None):
+    """Fractional conjugate-gradient minimization; every step is chosen by
+    armijo_wolfe_search with LineSearchParams()'s defaults.
 
     f          : Objective (analytic gradient hook or quadrature path)
     x0         : starting point
     frac       : FracParams
     kind       : BetaKind (or its string value)
-    ls, stop   : LineSearchParams / StopCriteria, defaulted when omitted
+    stop       : StopCriteria, defaulted when omitted
     quad       : QuadratureSpec of the trapezoid rule, needed only by an
                  objective with neither hook (else ValueError)
     reference  : optional point whose distance is logged per iteration
     on_step    : optional on_step(record, x, g, d) after each accepted step
     """
-    return _minimize(f, x0, frac, BetaKind(kind), ls or LineSearchParams(),
-                     stop, quad, reference, on_step)
+    return _minimize(f, x0, frac, BetaKind(kind), LineSearchParams(), stop,
+                     quad, reference, on_step)
 
 
 def cfsd_minimize(f, x0, frac, step_rule, stop=None, quad=None,

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-#: relative step of the central differences near a terminal
+#: relative step of the stencils on a line near its terminal
 FD_STEP = 1e-5
 
 #: nodes of the Gauss-Jacobi rule on objectives with an ``eval_line`` hook;
@@ -78,8 +78,8 @@ class QuadratureSpec:
     node_count : subintervals per coordinate line (>= 2) of the trapezoid
                  rule, which only objectives without ``eval_line`` take
 
-    The central differences near a terminal take the fixed relative step
-    FD_STEP.
+    A line whose cell is below FD_STEP * max(1, |x_i|) takes the rule's
+    one-node case, of that step (see frac_gradient_general).
     """
 
     node_count: int = 256
@@ -182,18 +182,24 @@ def frac_gradient_quadratic(A, b, x, params):
     return A @ x + b + params.gamma * rbar * (x - params.c)
 
 
-def _line_samples(f, x, ii, pts):
-    """f along the coordinate lines ii at the abscissae ``pts``, one row
-    per coordinate, returned in that shape, probed point by point through
-    ``fn`` of an Objective (or the plain callable)."""
+def _stencil_sums(f, x, ii, step, w):
+    """(d1, d2): the fourth-order central stencils of f' step and f''
+    step^2 at x_i + step_i * (1 - w.size .. 0), summed under w, for each
+    line i in ii.  f is probed point by point through ``fn`` of an
+    Objective (or the plain callable) on x_i + step_i * (-1 - w.size .. 2)."""
     fn = getattr(f, "fn", f)
-    z = np.array(x, dtype=float)
-    out = np.empty(pts.size)
-    for j, (i, t) in enumerate(zip(np.repeat(ii, pts.shape[1]), pts.flat)):
-        z[i] = t
-        out[j] = fn(z)
-        z[i] = x[i]
-    return out.reshape(pts.shape)
+    pts = x[ii, None] + step[:, None] * np.arange(-1 - w.size, 3)
+    y = np.empty(pts.shape)
+    for i, row, out in zip(ii, pts, y):
+        z = x.copy()
+        for j, t in enumerate(row):
+            z[i] = t
+            out[j] = fn(z)
+    # each weighted point's samples two and one steps below, at and above it
+    lo2, lo1, mid, up1, up2 = (y[:, j:j + w.size] for j in range(5))
+    d1 = np.vecdot(lo2 - up2 + 8.0 * (up1 - lo1), w) / 12.0
+    d2 = np.vecdot(16.0 * (lo1 + up1) - lo2 - up2 - 30.0 * mid, w) / 12.0
+    return d1, d2
 
 
 def frac_gradient_general(f, x, params, spec):
@@ -219,9 +225,9 @@ def frac_gradient_general(f, x, params, spec):
     node, at the N+1 rule nodes and two ghost nodes beyond each end (up
     to 2 |x_i - c_i| / N outside [c_i, x_i]); f' and f'' come from
     fourth-order central stencils there, exact on quadratics.  Where
-    |x_i - c_i| / N < h = FD_STEP * max(1, |x_i|), coordinate i is
-    d1 + rho (x_i - c_i) d2 from central differences of step h at x_i,
-    which is continuous at x_i = c_i.
+    |x_i - c_i| / N < h = FD_STEP * max(1, |x_i|), line i is the rule's
+    one-node case: the same stencils of step h at x_i alone, weight 1, on
+    the 5 points x_i + h * (-2..2), which is continuous at x_i = c_i.
 
     Each coordinate's sum is a row-wise reduction of its own line's
     values, so it does not depend on the other coordinates.
@@ -243,24 +249,14 @@ def frac_gradient_general(f, x, params, spec):
                          "rule needs a QuadratureSpec")
     q = span / spec.node_count
     h = FD_STEP * np.maximum(1.0, np.abs(x))
-    k = np.arange(-spec.node_count - 2, 3)  # offsets from x_i in steps of q
-    near = np.abs(q) < h
+    near = np.abs(q) < h  # a nan step is not near, so nan reaches g
+    step = np.where(near, h, q)
+    _, w = _unit_rule(params.alpha, spec.node_count)
     g = np.empty(x.size)
-    ii = np.flatnonzero(~near)  # nan steps too, so nan reaches g
-    if ii.size:
-        qi = q[ii]
-        y = _line_samples(f, x, ii, x[ii, None] + qi[:, None] * k)
-        _, w = _unit_rule(params.alpha, spec.node_count)
-        # each rule node's samples two and one steps below, at and above it
-        lo2, lo1, mid, up1, up2 = (y[:, j:j + w.size] for j in range(5))
-        d1 = np.vecdot(lo2 - up2 + 8.0 * (up1 - lo1), w) / 12.0
-        d2 = np.vecdot(16.0 * (lo1 + up1) - lo2 - up2 - 30.0 * mid, w) / 12.0
+    # a line near its terminal is the rule's one-node case: weight 1 at x_i
+    rules = (np.flatnonzero(~near), w), (np.flatnonzero(near), np.ones(1))
+    for ii, wi in rules:
+        qi = step[ii]
+        d1, d2 = _stencil_sums(f, x, ii, qi, wi)
         g[ii] = d1 / qi + params.rho * span[ii] * d2 / (qi * qi)
-    ii = np.flatnonzero(near)
-    if ii.size:
-        hi = h[ii]
-        pts = x[ii, None] + hi[:, None] * np.array([1.0, -1.0, 0.0])
-        up, down, mid = _line_samples(f, x, ii, pts).T
-        g[ii] = ((up - down) / (2.0 * hi)
-                 + params.rho * span[ii] * (up - 2.0 * mid + down) / (hi * hi))
     return g

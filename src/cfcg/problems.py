@@ -47,6 +47,13 @@ class Example1Config:
     n: int = 100
     gamma_grid: tuple = (0.5, 0.75, 1.0, 2.0, 3.0, 4.0)
 
+    def __post_init__(self):
+        if _index(self.m, "m") < 1 or _index(self.n, "n") < 1:
+            raise ValueError(f"m and n must be positive, got m={self.m}, "
+                             f"n={self.n}")
+        if _index(self.seed, "seed") < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class MlpSpec:

@@ -83,7 +83,6 @@ def stepped_cells():
             objective, target, _ = tikhonov_run_objective(prob, frac)
             report, steps = run_with_steps(
                 cfcg_minimize, objective, x0, frac, kind,
-                ls=LineSearchParams(),
                 stop=StopCriteria(config.grad_tol, config.max_iter),
                 reference=target)
             cells[(gamma, kind)] = (report, steps, objective)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfcg.cli import (EXAMPLE1_SD_RULE, MLP_SD_RULE, ConfigError,
+from cfcg.cli import (ALL_KINDS, EXAMPLE1_SD_RULE, MLP_SD_RULE, ConfigError,
                       ExperimentConfig, ResultRow, load_config, main,
                       run_example1, run_example2, run_single, write_rows,
                       write_trace_csv, TRACE_COLUMNS, _fmt)
@@ -111,6 +111,10 @@ class TestConfigFile:
         path = tmp_path / "c.cfg"
         path.write_text("max_iter = soon\n")
         with pytest.raises(ConfigError, match="max_iter"):
+            load_config(path)
+        path.write_text("write_traces = maybe\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:1: field "
+                           r"'write_traces': not a boolean: 'maybe'$"):
             load_config(path)
 
     def test_missing_equals(self, tmp_path):
@@ -556,7 +560,6 @@ class TestSingleRunner:
         objective, target, _ = tikhonov_run_objective(prob, frac)
         _, steps = run_with_steps(
             cfcg_minimize, objective, x0, frac, config.beta_kinds[0],
-            ls=LineSearchParams(),
             stop=StopCriteria(config.grad_tol, config.max_iter),
             reference=target)
         slack = recheck_armijo_wolfe(steps, objective,
@@ -617,6 +620,20 @@ class TestMainEntry:
         assert code == 1
         rows = read_csv_rows(tmp_path / "o" / "results.csv")
         assert rows[0]["status"] == "MaxIter"
+
+    def test_example2_writes_a_row_per_cell(self, tmp_path):
+        # the one branch of main that the other tests leave to CI's
+        # installed-script step
+        cfg = tmp_path / "e2.cfg"
+        cfg.write_text("hidden_units = 3\ntrain_points = 10\ntrials = 1\n"
+                       "targets = h1\nmax_iter = 5\n")
+        out = tmp_path / "o"
+        code = main(["example2", "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 1)
+        rows = read_csv_rows(out / "results.csv")
+        assert [(r["solver"], r["beta"]) for r in rows] == (
+            [("CFCG", kind) for kind in ALL_KINDS] + [("CFSD", "")])
+        assert len(list(out.glob("trace_example2_*.csv"))) == len(rows)
 
     def test_exit_two_on_bad_config(self, tmp_path):
         bad = tmp_path / "bad.cfg"

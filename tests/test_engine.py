@@ -14,7 +14,7 @@ from cfcg.engine import (DIRECTION_NORM_CAP, STALENESS_RESTART,
                          beta_value, cfcg_minimize, cfsd_minimize, direction)
 from cfcg.fraccalc import (FracParams, QuadratureSpec, frac_gradient_general,
                            frac_gradient_quadratic)
-from cfcg.problems import (BENCHMARK_IDS, MlpSpec, mlp_init,
+from cfcg.problems import (BENCHMARK_IDS, Example1Config, MlpSpec, mlp_init,
                            mlp_lower_terminal, mlp_objective)
 from replay import recheck_armijo_wolfe, run_with_steps
 
@@ -238,6 +238,8 @@ class TestLineSearch:
             LineSearchParams(c1=0.95, c2=0.9)
         with pytest.raises(ValueError):
             LineSearchParams(r=1.0)
+        with pytest.raises(ValueError, match="^max_trials must be positive$"):
+            LineSearchParams(max_trials=0)
         with pytest.raises(ValueError):
             StopCriteria(grad_tol=0.0)
 
@@ -245,10 +247,12 @@ class TestLineSearch:
 @pytest.mark.parametrize("cls, field", [
     (QuadratureSpec, "node_count"), (StopCriteria, "max_iter"),
     (LineSearchParams, "max_trials"), (MlpSpec, "hidden_units"),
-    (MlpSpec, "train_points"), (MlpSpec, "trials")])
+    (MlpSpec, "train_points"), (MlpSpec, "trials"), (Example1Config, "seed"),
+    (Example1Config, "m"), (Example1Config, "n")])
 def test_integer_settings_refuse_non_integers(cls, field):
     # 2.5 was accepted once, and failed only later: the trapezoid rule gave
-    # nan, the loops and np.ones a TypeError; numpy integers stay accepted
+    # nan, the loops, np.ones, numpy's uniform and SeedSequence a TypeError;
+    # numpy integers stay accepted
     with pytest.raises(ValueError,
                        match=f"^{field} must be an integer, got 2.5$"):
         cls(**{field: 2.5})
@@ -340,10 +344,10 @@ class TestCfcg:
         A, rng = seeded_spd(6, 8)
         frac = FracParams(0.9, 0.1, np.zeros(8))
         obj, _, _ = quadratic_objective(A, rng.normal(size=8), frac)
-        ls = LineSearchParams()
         _, steps = run_with_steps(cfcg_minimize, obj, rng.uniform(1, 10, 8),
-                                  frac, "HS", ls=ls)
-        slack = recheck_armijo_wolfe(steps, obj, obj.frac_gradient, ls)
+                                  frac, "HS")
+        slack = recheck_armijo_wolfe(steps, obj, obj.frac_gradient,
+                                     LineSearchParams())
         assert slack >= -1e-12
 
     def test_f_decrease_stop(self):
@@ -677,11 +681,11 @@ def test_accepted_steps_recheck_on_networks(kind, seed, hidden, alpha, rho):
     spec = MlpSpec(hidden_units=hidden, train_points=20, trials=1)
     obj = mlp_objective(spec, BENCHMARK_IDS[seed % 3], data_seed=seed)
     frac = FracParams(alpha, rho, mlp_lower_terminal(spec))
-    ls = LineSearchParams()
     _, steps = run_with_steps(cfcg_minimize, obj, mlp_init(spec, seed), frac,
-                              kind, ls=ls, stop=StopCriteria(1e-12, 6))
+                              kind, stop=StopCriteria(1e-12, 6))
     slack = recheck_armijo_wolfe(
-        steps, obj, lambda x: frac_gradient_general(obj, x, frac, None), ls)
+        steps, obj, lambda x: frac_gradient_general(obj, x, frac, None),
+        LineSearchParams())
     assert slack >= 0.0
 
 
@@ -695,7 +699,7 @@ def test_accepted_steps_recheck_on_quadratics(kind, seed, n, cond, alpha, rho):
     frac = FracParams(alpha, rho, rng.uniform(-1.0, 1.0, n))
     obj, _, abar = quadratic_objective(A, rng.normal(size=n), frac)
     assume(np.linalg.eigvalsh(abar)[0] > 0.0)
-    ls = LineSearchParams()
     _, steps = run_with_steps(cfcg_minimize, obj, rng.uniform(1.0, 10.0, n),
-                              frac, kind, ls=ls, stop=StopCriteria(1e-8, 200))
-    assert recheck_armijo_wolfe(steps, obj, obj.frac_gradient, ls) >= 0.0
+                              frac, kind, stop=StopCriteria(1e-8, 200))
+    assert recheck_armijo_wolfe(steps, obj, obj.frac_gradient,
+                                LineSearchParams()) >= 0.0

@@ -289,19 +289,28 @@ class TestGeneralGradient:
         with pytest.raises(ValueError):
             frac_gradient_general(lambda z: 0.0, np.ones(3), params, spec)
 
+    @staticmethod
+    def one_node_stencils(f, x, i, h):
+        """The fourth-order central differences of f' and f'' of step h at x
+        along coordinate i, the trapezoid rule's one-node case."""
+        lo2, lo1, mid, up1, up2 = (
+            f(np.where(np.arange(x.size) == i, x[i] + h * m, x))
+            for m in (-2, -1, 0, 1, 2))
+        d1 = (lo2 - up2 + 8.0 * (up1 - lo1)) / 12.0 / h
+        d2 = (16.0 * (lo1 + up1) - lo2 - up2 - 30.0 * mid) / 12.0 / (h * h)
+        return d1, d2
+
     def test_guarded_coordinate_is_central_difference(self):
-        # x[1] sits on its terminal, the others do not
+        # x[1] sits on its terminal, the others do not: the rho term
+        # vanishes and coordinate 1 is the stencil of f' of step h at x_1
         f = self.mixed_cubic
         c = np.array([0.0, 0.3, -1.0])
         x = np.array([1.2, 0.3, -1.7])
         spec = QuadratureSpec(node_count=16)
         got = frac_gradient_general(f, x, FracParams(0.8, 0.2, c), spec)
         h = FD_STEP * max(1.0, abs(x[1]))
-        up, down = x.copy(), x.copy()
-        up[1] += h
-        down[1] -= h
-        # the weights sum to one up to rounding
-        assert got[1] == pytest.approx((f(up) - f(down)) / (2.0 * h), rel=1e-15)
+        d1, _ = self.one_node_stencils(f, x, 1, h)
+        assert got[1] == pytest.approx(d1, rel=1e-15)
         assert np.all(np.isfinite(got))
 
     def test_line_evaluator_gives_the_plain_gradient(self):
@@ -382,7 +391,8 @@ class TestGeneralGradient:
             assert got[i] == pytest.approx(classical, rel=1e-8, abs=1e-10)
 
     def test_near_terminal_coordinate_is_central_difference(self):
-        # 0 < |x_1 - c_1| < N h: the 3-point differences of step h at x_1
+        # 0 < |x_1 - c_1| < N h: the one-node case, both stencils of step h
+        # at x_1 with weight 1
         f = self.mixed_cubic
         c = np.array([0.0, 0.3, -1.0])
         x = np.array([1.2, 0.3 + 4e-5, -1.7])
@@ -391,11 +401,7 @@ class TestGeneralGradient:
         got = frac_gradient_general(f, x, params, spec)
         h = FD_STEP * max(1.0, abs(x[1]))
         assert abs(x[1] - c[1]) < spec.node_count * h
-        up, down = x.copy(), x.copy()
-        up[1] += h
-        down[1] -= h
-        d1 = (f(up) - f(down)) / (2.0 * h)
-        d2 = (f(up) - 2.0 * f(x) + f(down)) / (h * h)
+        d1, d2 = self.one_node_stencils(f, x, 1, h)
         want = d1 + params.rho * (x[1] - c[1]) * d2
         # the rho term is about 1e-5 of the value, so a plain d1 fails
         assert got[1] == pytest.approx(want, rel=1e-14)

@@ -59,6 +59,11 @@ class TestBuildQuadratic:
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
             build_quadratic(np.eye(3), np.ones(2))
+        with pytest.raises(ValueError, match="^X must be a nonempty matrix$"):
+            build_quadratic(np.empty((2, 0)), np.empty(0))
+        with pytest.raises(ValueError,
+                           match=r"^x_bar has shape \(3,\), expected \(2,\)$"):
+            build_quadratic(np.eye(2), np.ones(2), x_bar=np.ones(3))
         # nan and inf were accepted once: tikhonov_solution then failed
         # with "Eigenvalues did not converge" after a RuntimeWarning
         for gamma in (-1.0, np.nan, np.inf):
